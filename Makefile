@@ -6,12 +6,14 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race cover bench-smoke fault-smoke fuzz-smoke serve-smoke plan-smoke churn-smoke store-smoke sim-smoke matrix-smoke bench sweep-record fault-record obs-record serve-record plan-record churn-record store-record sim-record matrix-record experiments
+.PHONY: check vet staticcheck build test race cover perfbench-check bench-smoke fault-smoke fuzz-smoke serve-smoke plan-smoke churn-smoke store-smoke sim-smoke matrix-smoke bench sweep-record fault-record obs-record serve-record plan-record churn-record store-record sim-record matrix-record experiments
 
-check: vet staticcheck build race cover bench-smoke fault-smoke fuzz-smoke serve-smoke plan-smoke churn-smoke store-smoke sim-smoke matrix-smoke
+check: vet staticcheck build race cover perfbench-check bench-smoke fault-smoke fuzz-smoke serve-smoke plan-smoke churn-smoke store-smoke sim-smoke matrix-smoke
 
+# Vet plus a formatting gate: gofmt must list no file.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 # Static analysis beyond vet. Skipped gracefully where the binary is not
 # installed (CI installs it; see .github/workflows/ci.yml).
@@ -43,6 +45,11 @@ cover:
 	echo "total coverage: $$total% (floor $(COVER_MIN)%)"; \
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit !(t+0 >= min+0) }' || \
 		{ echo "coverage $$total% fell below the $(COVER_MIN)% baseline"; exit 1; }
+
+# The benchmark under perfbench/ is its own Go module, so ./... above never
+# compiles it; vet and test it against this checkout's packages.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of every Sweep* benchmark: proves the naive and pruned paths
 # still run and agree without paying full measurement time.
@@ -77,8 +84,9 @@ serve-smoke:
 # Ten seconds each of coverage-guided fuzzing: the repair planner's
 # model-safety invariant (every emitted schedule must replay cleanly under
 # schedule.Run from the hold-state it was planned for), the implicit plan's
-# equivalence invariant (closed-form rounds and timetables must be
-# bit-identical to the materialising builder on random connected graphs),
+# equivalence invariant (closed-form rounds, cursor rounds read in and out
+# of order, and timetables must be bit-identical to the materialising
+# builder on random connected graphs),
 # the plan codec's no-panic invariant (arbitrary bytes — the store's
 # threat model after disk corruption — must decode to a valid plan or a
 # clean error, never a crash), and the async simulator's invariants on
@@ -116,10 +124,10 @@ churn-smoke:
 	$(GO) test -run='^TestChurnSmoke$$' .
 
 # Differential gate for the implicit plan encoding: every round of a seeded
-# random n = 4096 plan compared bit-for-bit against the materialised
-# builder, the >=100x byte-ratio acceptance floor, and an n = 10^5 implicit
-# construction — all under GOMEMLIMIT so a space regression in either
-# encoding fails loudly.
+# random n = 4096 plan, from the closed form and from an in-order cursor,
+# compared bit-for-bit against the materialised builder, the >=100x
+# byte-ratio acceptance floor, and an n = 10^5 implicit construction — all
+# under GOMEMLIMIT so a space regression in either encoding fails loudly.
 plan-smoke:
 	GOMEMLIMIT=1GiB $(GO) run ./cmd/planbench -smoke
 
@@ -188,10 +196,12 @@ store-record:
 
 # Regenerate the BENCH_plan.json plan-encoding record: implicit O(n) plans
 # vs materialised O(n²) schedules (bytes, construction time, first-round
-# latency) at n in {1024, 4096}, plus implicit-only construction runs at
-# n in {10^5, 10^6}. The full ring/grid materialisations take minutes.
+# latency, closed-form vs cursor per-round enumeration) at n in
+# {1024, 4096}, plus implicit-only construction runs at n in {10^5, 10^6}.
+# The full ring/grid materialisations take minutes; GOMEMLIMIT keeps the
+# ring n = 4096 one near 2.7 GB resident instead of over 6 GB.
 plan-record:
-	$(GO) run ./cmd/planbench -out BENCH_plan.json
+	GOMEMLIMIT=2GiB $(GO) run ./cmd/planbench -out BENCH_plan.json
 
 # Regenerate the BENCH_churn.json churn record: patch turnaround vs cold
 # rebuild on ring/random at n in {1024, 4096} with the 10x floor asserted

@@ -22,10 +22,10 @@ import (
 	"multigossip/internal/core"
 	"multigossip/internal/expt"
 	"multigossip/internal/graph"
+	"multigossip/internal/implicit"
 	"multigossip/internal/online"
 	"multigossip/internal/schedule"
 	"multigossip/internal/spantree"
-	"multigossip/internal/stream"
 )
 
 // benchExperiment runs one experiment per iteration, asserting reproduction.
@@ -401,13 +401,14 @@ func BenchmarkSweepEccentricitiesAll(b *testing.B) {
 }
 
 func BenchmarkStageStreamGenerator(b *testing.B) {
-	// O(n)-memory streaming of the full schedule; reported per schedule.
+	// O(n)-memory cursor enumeration of the full schedule with count
+	// verification; reported per schedule.
 	for _, n := range []int{1024, 4096} {
-		l := randomLabeledTree(b, n)
+		p := implicit.New(randomLabeledTree(b, n))
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := stream.Verify(l); err != nil {
+				if _, err := p.Summarize(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -222,10 +222,11 @@ func (pc *PlanCache) Stats() CacheStats { return pc.c.Stats() }
 // labels and snapshot.
 //
 // The size is measured once, at cache insert. An implicit-backed plan
-// that is later asked to Verify, Stats or ExecuteWithFaults materialises
+// that is later asked for Stats, JSON export or an analysis materialises
 // its schedule lazily and from then on occupies more memory than the
 // cache accounted for; serving paths that only read Rounds, Round,
-// RoundAppend and TimetableOf never trigger that growth.
+// RoundAppend and TimetableOf, and the streamed replays (Verify,
+// ExecuteWithFaults, ExecuteTraced), never trigger that growth.
 func (p *Plan) SizeBytes() int64 {
 	const word = 8
 	b := int64(p.network.N()) * 2 * word // adjacency index of the snapshot

@@ -135,7 +135,7 @@ func TestApplyBatchMixedAddsAndNonTreeRemovals(t *testing.T) {
 func TestApplyBatchRefusalIsPerMutation(t *testing.T) {
 	dp := mustDynamic(t, Line(8)) // every link is a bridge
 	outcome, results, err := dp.Apply([]Mutation{
-		{U: 0, V: 7},              // close the line into a ring
+		{U: 0, V: 7},                                                               // close the line into a ring
 		{Remove: true, U: 3, V: 4} /* now removable */, {Remove: true, U: 4, V: 5}, // would re-disconnect
 	})
 	if err != nil {

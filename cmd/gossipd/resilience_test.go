@@ -148,7 +148,7 @@ func TestSessionTTL(t *testing.T) {
 		return post(t, ts.URL, "/mutate", map[string]any{"session": name, "topology": "ring", "n": 8})
 	}
 	for i := 0; i < maxChurnSessions; i++ {
-		if status, body := session(string(rune('a'+i%26))+string(rune('0'+i/26))); status != http.StatusOK {
+		if status, body := session(string(rune('a'+i%26)) + string(rune('0'+i/26))); status != http.StatusOK {
 			t.Fatalf("session %d: status %d: %s", i, status, body)
 		}
 	}

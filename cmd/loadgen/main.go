@@ -69,11 +69,11 @@ type record struct {
 		ColdKeys int     `json:"cold_keys"`
 		Seed     int64   `json:"seed"`
 	} `json:"config"`
-	Requests    int     `json:"requests"`
-	OK          int     `json:"ok"`
-	Rejected429 int     `json:"rejected_429"`
-	Errors      int     `json:"errors"`
-	HitRate     float64 `json:"hit_rate"`
+	Requests    int            `json:"requests"`
+	OK          int            `json:"ok"`
+	Rejected429 int            `json:"rejected_429"`
+	Errors      int            `json:"errors"`
+	HitRate     float64        `json:"hit_rate"`
 	Sources     map[string]int `json:"sources"`
 
 	LatencyMS     quantiles `json:"latency_ms"`

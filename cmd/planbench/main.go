@@ -11,7 +11,10 @@
 // holding round 0's transmissions. It also reports the resident bytes of
 // both encodings and their ratio, the headline of the record: the implicit
 // plan answers the same queries bit-identically from ~28n bytes while the
-// materialised schedule stores Θ(n²) destination ids.
+// materialised schedule stores Θ(n²) destination ids. Two per-round costs
+// of enumerating the whole schedule in order close each row: the closed
+// form's random-access RoundAppend, and the implicit.Cursor that carries
+// the previous round's state forward.
 //
 // Sizes in -big run the implicit side only (the materialised schedule at
 // n = 10⁶ would be ~8 TB): a seeded random recursive tree is labelled and
@@ -20,14 +23,14 @@
 //
 // With -smoke the command runs the CI differential gate instead of the
 // benchmark: on a seeded random connected graph at n = 4096 every round of
-// the implicit plan is compared bit-for-bit against the materialised
-// builder, a sample of vertex timetables is checked against the
-// materialised VertexView, the ≥100x byte-ratio acceptance floor is
-// asserted, and an n = 10⁵ implicit plan is constructed and probed. The
-// Makefile runs this under GOMEMLIMIT so a space regression in either
-// encoding fails the gate.
+// the implicit plan, read both from the closed form and from a cursor, is
+// compared bit-for-bit against the materialised builder, a sample of
+// vertex timetables is checked against the materialised VertexView, the
+// ≥100x byte-ratio acceptance floor is asserted, and an n = 10⁵ implicit
+// plan is constructed and probed. The Makefile runs this under GOMEMLIMIT
+// so a space regression in either encoding fails the gate.
 //
-//	go run ./cmd/planbench -out BENCH_plan.json
+//	GOMEMLIMIT=2GiB go run ./cmd/planbench -out BENCH_plan.json
 //	GOMEMLIMIT=1GiB go run ./cmd/planbench -smoke
 package main
 
@@ -65,6 +68,7 @@ type record struct {
 	ImplicitFirstRoundNs     int64   `json:"implicit_first_round_ns"`
 	MaterialisedFirstRoundNs int64   `json:"materialised_first_round_ns"`
 	RoundAppendNsPerRound    int64   `json:"round_append_ns_per_round"`
+	CursorNsPerRound         int64   `json:"cursor_ns_per_round"`
 }
 
 type bigRecord struct {
@@ -162,12 +166,10 @@ func measure(kind string, n, reps int) record {
 	implicitBuild := best(reps, func() {
 		plan = implicit.New(spantree.Label(tree))
 	})
-	var s *schedule.Schedule
-	matBuild := best(reps, func() {
-		s = materialise(spantree.Label(tree))
-	})
 
 	// First-round latency: tree in hand -> round 0's transmissions readable.
+	// The materialised side runs before the retained build below, so at most
+	// one Θ(n²) schedule is live at a time (ring n = 4096 needs ~2 GB each).
 	var buf []schedule.Transmission
 	implicitFirst := best(reps, func() {
 		p := implicit.New(spantree.Label(tree))
@@ -176,6 +178,11 @@ func measure(kind string, n, reps int) record {
 	var first []schedule.Transmission
 	matFirst := best(reps, func() {
 		first = materialise(spantree.Label(tree)).Rounds[0]
+	})
+	var s *schedule.Schedule
+	matBuild := best(reps, func() {
+		s = nil
+		s = materialise(spantree.Label(tree))
 	})
 
 	// Spot-check equivalence so the record can never describe two encodings
@@ -192,13 +199,23 @@ func measure(kind string, n, reps int) record {
 	}
 	_ = first
 
-	// Steady-state query cost averaged over the whole schedule.
+	// Steady-state query cost averaged over the whole schedule, from the
+	// closed form and from a cursor.
 	rounds := plan.Rounds()
 	start := time.Now()
 	for t := 0; t < rounds; t++ {
 		buf = plan.RoundAppend(t, buf[:0])
 	}
 	perRound := time.Since(start).Nanoseconds() / int64(rounds)
+	cur := plan.Cursor()
+	start = time.Now()
+	for t := 0; t < rounds; t++ {
+		buf = cur.RoundAppend(t, buf[:0])
+	}
+	cursorPerRound := time.Since(start).Nanoseconds() / int64(rounds)
+	if !equalRound(buf, s.Rounds[rounds-1]) {
+		panic(fmt.Sprintf("planbench: %s n=%d cursor's last round diverges from the materialised schedule", kind, n))
+	}
 
 	ib, mb := plan.SizeBytes(), materialisedBytes(s)
 	return record{
@@ -215,6 +232,7 @@ func measure(kind string, n, reps int) record {
 		ImplicitFirstRoundNs:     implicitFirst,
 		MaterialisedFirstRoundNs: matFirst,
 		RoundAppendNsPerRound:    perRound,
+		CursorNsPerRound:         cursorPerRound,
 	}
 }
 
@@ -260,15 +278,20 @@ func smoke() error {
 	if plan.Rounds() != s.Time() {
 		return fmt.Errorf("rounds %d != materialised %d", plan.Rounds(), s.Time())
 	}
-	var buf []schedule.Transmission
+	var buf, cbuf []schedule.Transmission
+	cur := plan.Cursor()
 	for t := 0; t <= plan.Rounds(); t++ {
 		buf = plan.RoundAppend(t, buf[:0])
+		cbuf = cur.RoundAppend(t, cbuf[:0])
 		var want []schedule.Transmission
 		if t < len(s.Rounds) {
 			want = s.Rounds[t]
 		}
 		if !equalRound(buf, want) {
 			return fmt.Errorf("round %d diverges from the materialised schedule", t)
+		}
+		if !equalRound(cbuf, buf) {
+			return fmt.Errorf("cursor round %d diverges from the closed form", t)
 		}
 	}
 	origTree := spantree.MustFromParents(treeParentsInOriginalIDs(l))
@@ -282,7 +305,7 @@ func smoke() error {
 	if ratio := mb / ib; ratio < 100 {
 		return fmt.Errorf("materialised/implicit byte ratio %dx fell below the 100x floor (implicit %d, materialised %d)", ratio, ib, mb)
 	}
-	fmt.Printf("plan-smoke: n=%d differential ok over %d rounds; implicit %d B vs materialised %d B (%.0fx)\n",
+	fmt.Printf("plan-smoke: n=%d closed-form and cursor differential ok over %d rounds; implicit %d B vs materialised %d B (%.0fx)\n",
 		n, plan.Rounds()+1, ib, mb, float64(mb)/float64(ib))
 
 	const big = 100_000
@@ -341,13 +364,13 @@ func main() {
 
 	rep := report{
 		Tool:       "cmd/planbench",
-		Benchmark:  "implicit O(n) plan encoding vs materialised O(n²) schedule: bytes, construction, first-round latency",
+		Benchmark:  "implicit O(n) plan encoding vs materialised O(n²) schedule: bytes, construction, first-round latency, per-round enumeration (closed form vs cursor)",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		GoVersion:  runtime.Version(),
 	}
-	fmt.Printf("%-8s %7s %7s %12s %14s %8s %13s %13s %12s %14s\n",
-		"topology", "n", "rounds", "impl bytes", "mat bytes", "ratio", "impl build", "mat build", "impl rd0", "mat rd0")
+	fmt.Printf("%-8s %7s %7s %12s %14s %8s %13s %13s %12s %14s %12s %10s\n",
+		"topology", "n", "rounds", "impl bytes", "mat bytes", "ratio", "impl build", "mat build", "impl rd0", "mat rd0", "closed/rd", "cursor/rd")
 	for _, kind := range []string{"ring", "grid", "random"} {
 		for _, n := range parseSizes("sizes", *sizes) {
 			reps := 3
@@ -356,9 +379,10 @@ func main() {
 			}
 			r := measure(kind, n, reps)
 			rep.Cases = append(rep.Cases, r)
-			fmt.Printf("%-8s %7d %7d %12d %14d %7.0fx %13d %13d %12d %14d\n",
+			fmt.Printf("%-8s %7d %7d %12d %14d %7.0fx %13d %13d %12d %14d %12d %10d\n",
 				r.Topology, r.N, r.Rounds, r.ImplicitBytes, r.MaterialisedBytes, r.BytesRatio,
-				r.ImplicitBuildNs, r.MaterialisedBuildNs, r.ImplicitFirstRoundNs, r.MaterialisedFirstRoundNs)
+				r.ImplicitBuildNs, r.MaterialisedBuildNs, r.ImplicitFirstRoundNs, r.MaterialisedFirstRoundNs,
+				r.RoundAppendNsPerRound, r.CursorNsPerRound)
 		}
 	}
 	for _, n := range parseSizes("big", *big) {

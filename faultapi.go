@@ -6,6 +6,7 @@ import (
 	"multigossip/internal/fault"
 	"multigossip/internal/obs"
 	"multigossip/internal/repair"
+	"multigossip/internal/schedule"
 )
 
 // FaultReport summarises one faulty execution of a plan and the repair
@@ -254,6 +255,12 @@ func (p *Plan) ExecuteWithFaults(opts ...FaultOption) (FaultReport, error) {
 	if !p.Schedulable() {
 		return FaultReport{}, p.errNoSchedule()
 	}
+	return p.executeWithFaults(p.source(), opts)
+}
+
+// executeWithFaults runs ExecuteWithFaults over the plan's rounds as read
+// from s.
+func (p *Plan) executeWithFaults(s schedule.Source, opts []FaultOption) (FaultReport, error) {
 	cfg := faultConfig{repair: true}
 	for _, o := range opts {
 		o(&cfg)
@@ -265,23 +272,22 @@ func (p *Plan) ExecuteWithFaults(opts ...FaultOption) (FaultReport, error) {
 	if len(cfg.injectors) > 0 {
 		inj = cfg.injectors
 	}
-	s := p.schedule()
+	n := p.network.N()
 	for _, c := range cfg.injectors {
 		switch f := c.(type) {
 		case fault.CrashWindow:
-			if f.Proc >= s.N {
-				return FaultReport{}, fmt.Errorf("multigossip: crash processor %d out of range [0,%d)", f.Proc, s.N)
+			if f.Proc >= n {
+				return FaultReport{}, fmt.Errorf("multigossip: crash processor %d out of range [0,%d)", f.Proc, n)
 			}
 		case fault.DeadLink:
-			if f.U >= s.N || f.V >= s.N {
-				return FaultReport{}, fmt.Errorf("multigossip: dead link (%d, %d) out of range [0,%d)", f.U, f.V, s.N)
+			if f.U >= n || f.V >= n {
+				return FaultReport{}, fmt.Errorf("multigossip: dead link (%d, %d) out of range [0,%d)", f.U, f.V, n)
 			}
 			if !p.network.HasEdge(f.U, f.V) {
 				return FaultReport{}, fmt.Errorf("multigossip: dead link (%d, %d) is not a network link", f.U, f.V)
 			}
 		}
 	}
-	n := p.network.N()
 	progress := obs.NewProgressCollector(n, n*n)
 	ro := obs.Multi(cfg.observer, progress)
 	ro.BeginPhase("schedule", p.algo.String())

@@ -1,7 +1,9 @@
 package multigossip
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"multigossip/internal/graph"
@@ -398,5 +400,77 @@ func TestExecuteWithFaultsRejectsBadPermanentFaults(t *testing.T) {
 	}
 	if _, err := plan.ExecuteWithFaults(WithCrashStop(8, 0)); err == nil {
 		t.Fatal("out-of-range crash-stop accepted")
+	}
+}
+
+// eventLog records every RoundObserver event in order, for comparing two
+// executions event by event.
+type eventLog struct{ events []string }
+
+func (l *eventLog) add(format string, a ...any) {
+	l.events = append(l.events, fmt.Sprintf(format, a...))
+}
+
+func (l *eventLog) BeginPhase(phase, detail string) { l.add("begin-phase %s %s", phase, detail) }
+func (l *eventLog) EndPhase(phase string)           { l.add("end-phase %s", phase) }
+func (l *eventLog) BeginRound(t int)                { l.add("begin-round %d", t) }
+func (l *eventLog) EndRound(t int, s RoundStats)    { l.add("end-round %d %+v", t, s) }
+func (l *eventLog) Delivery(t, from, to, msg int, o DeliveryOutcome) {
+	l.add("delivery %d %d->%d m%d %v", t, from, to, msg, o)
+}
+func (l *eventLog) RepairIteration(i int, s RepairStats) { l.add("repair %d %+v", i, s) }
+func (l *eventLog) Quarantine(i int, links [][2]int, procs []int) {
+	l.add("quarantine %d %v %v", i, links, procs)
+}
+
+// TestExecuteWithFaultsCursorMatchesMaterialised holds the streamed
+// ConcurrentUpDown execution to the materialised one it replaced: under
+// every fault model, repair setting and network, the cursor-fed executor
+// returns an identical FaultReport (progress curve included) and emits an
+// identical observer event sequence.
+func TestExecuteWithFaultsCursorMatchesMaterialised(t *testing.T) {
+	for name, nw := range map[string]*Network{
+		"ring":   Ring(24),
+		"mesh":   Mesh(5, 6),
+		"star":   Star(10),
+		"random": RandomNetwork(rand.New(rand.NewSource(9)), 40, 0.1),
+	} {
+		plan, err := nw.PlanGossip()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched := plan.schedule()
+		tx := sched.Rounds[2][len(sched.Rounds[2])-1]
+		tree, _ := plan.treeLabeled()
+		leaf := 0
+		for tree.Parent[leaf] == -1 || !tree.IsLeaf(leaf) {
+			leaf++
+		}
+		cases := map[string][]FaultOption{
+			"loss":           {WithLinkLoss(0.03, 7)},
+			"dropped":        {WithDroppedDelivery(2, len(sched.Rounds[2])-1, tx.To[0]), WithDroppedDelivery(5, 0, sched.Rounds[5][0].To[0])},
+			"crash-window":   {WithCrashWindow(1, 3, 9), WithLinkLoss(0.01, 3)},
+			"crash-stop":     {WithCrashStop(leaf, 2)},
+			"dead-link":      {WithDeadLink(leaf, tree.Parent[leaf])},
+			"without-repair": {WithLinkLoss(0.05, 11), WithoutRepair()},
+			"repair-budget":  {WithLinkLoss(0.1, 5), WithRepairBudget(1)},
+		}
+		for cname, opts := range cases {
+			var gotLog, wantLog eventLog
+			got, gotErr := plan.executeWithFaults(plan.source(), append(opts[:len(opts):len(opts)], WithObserver(&gotLog)))
+			want, wantErr := plan.executeWithFaults(sched, append(opts[:len(opts):len(opts)], WithObserver(&wantLog)))
+			if gotErr != nil || wantErr != nil {
+				t.Fatalf("%s/%s: errors %v, %v", name, cname, gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%s: streamed report differs\ngot  %+v\nwant %+v", name, cname, got, want)
+			}
+			if !reflect.DeepEqual(gotLog.events, wantLog.events) {
+				t.Fatalf("%s/%s: observer events differ (%d vs %d events)", name, cname, len(gotLog.events), len(wantLog.events))
+			}
+			if want.Dropped == 0 {
+				t.Fatalf("%s/%s: the fault model dropped nothing", name, cname)
+			}
+		}
 	}
 }

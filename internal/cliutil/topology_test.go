@@ -45,9 +45,9 @@ func TestBuildInvalidParams(t *testing.T) {
 		topology string
 		params   Params
 	}{
-		{"ring", Params{N: 2}},       // graph: cycle needs n >= 3
-		{"ring", Params{N: -1}},      // negative vertex count
-		{"line", Params{N: -5}},      // negative vertex count
+		{"ring", Params{N: 2}},  // graph: cycle needs n >= 3
+		{"ring", Params{N: -1}}, // negative vertex count
+		{"line", Params{N: -5}}, // negative vertex count
 		{"hypercube", Params{Dim: -1}},
 		{"mesh", Params{Rows: -2, Cols: 3}},
 		{"random", Params{N: -3, P: 0.5}},

@@ -240,33 +240,36 @@ func ExecuteObserved(g *graph.Graph, s *schedule.Schedule, inj Injector, initial
 // BeginRound/EndRound with aggregated RoundStats and the same per-delivery
 // outcomes via Delivery. Both observers see absolute round indices
 // (roundOffset added). With both nil the executor takes the untraced fast
-// path; ExecuteInjected and ExecuteObserved delegate here.
-func ExecuteTraced(g *graph.Graph, s *schedule.Schedule, inj Injector, initial []*schedule.Bitset, roundOffset int, watch Observer, ro obs.RoundObserver) (holds []*schedule.Bitset, dropped int, err error) {
-	if g.N() != s.N {
-		return nil, 0, fmt.Errorf("fault: graph has %d processors, schedule %d", g.N(), s.N)
+// path; ExecuteInjected and ExecuteObserved delegate here. It reads s
+// once, round by round in order, so a streamed Source is never
+// materialised.
+func ExecuteTraced(g *graph.Graph, s schedule.Source, inj Injector, initial []*schedule.Bitset, roundOffset int, watch Observer, ro obs.RoundObserver) (holds []*schedule.Bitset, dropped int, err error) {
+	n, nmsg := s.Processors(), s.Messages()
+	if g.N() != n {
+		return nil, 0, fmt.Errorf("fault: graph has %d processors, schedule %d", g.N(), n)
 	}
 	if initial == nil {
-		if s.NMsg != s.N {
+		if nmsg != n {
 			return nil, 0, fmt.Errorf("fault: lenient executor supports the basic instance only")
 		}
-		holds = make([]*schedule.Bitset, s.N)
+		holds = make([]*schedule.Bitset, n)
 		for v := range holds {
-			holds[v] = schedule.NewBitset(s.NMsg)
+			holds[v] = schedule.NewBitset(nmsg)
 			holds[v].Set(v)
 		}
 	} else {
-		if len(initial) != s.N {
-			return nil, 0, fmt.Errorf("fault: %d initial hold sets for %d processors", len(initial), s.N)
+		if len(initial) != n {
+			return nil, 0, fmt.Errorf("fault: %d initial hold sets for %d processors", len(initial), n)
 		}
-		holds = make([]*schedule.Bitset, s.N)
+		holds = make([]*schedule.Bitset, n)
 		for v, h := range initial {
-			if h.Len() != s.NMsg {
-				return nil, 0, fmt.Errorf("fault: initial hold set %d sized %d, want %d", v, h.Len(), s.NMsg)
+			if h.Len() != nmsg {
+				return nil, 0, fmt.Errorf("fault: initial hold set %d sized %d, want %d", v, h.Len(), nmsg)
 			}
 			holds[v] = h.Clone()
 		}
 	}
-	received := make([]int, s.N) // round of last receive, -1 otherwise
+	received := make([]int, n) // round of last receive, -1 otherwise
 	for i := range received {
 		received[i] = -1
 	}
@@ -282,14 +285,19 @@ func ExecuteTraced(g *graph.Graph, s *schedule.Schedule, inj Injector, initial [
 		}
 	}
 	observed := watch != nil || ro != nil
-	for t, round := range s.Rounds {
+	type delivery struct{ msg, to int }
+	var (
+		round    []schedule.Transmission
+		arriving []delivery
+	)
+	for t := 0; t < s.Time(); t++ {
+		round = s.RoundAppend(t, round[:0])
+		arriving = arriving[:0]
 		abs := roundOffset + t
 		if ro != nil {
 			ro.BeginRound(abs)
 		}
 		var stats obs.RoundStats
-		type delivery struct{ msg, to int }
-		var arriving []delivery
 		for txIdx, tx := range round {
 			if inj != nil && inj.Down(abs, tx.From) {
 				stats.Skipped += len(tx.To)

@@ -15,8 +15,9 @@ import (
 // materialising builder on arbitrary inputs: for a random connected graph,
 // the implicit plan's RoundAppend must be bit-identical to the built
 // schedule's round at a fuzzer-chosen time (including out-of-range times,
-// which must yield the empty round), and a fuzzer-chosen vertex's
-// Timetable must match the materialised VertexView.
+// which must yield the empty round), a fuzzer-chosen vertex's Timetable
+// must match the materialised VertexView, and a Cursor drained in order and
+// out of order must reproduce every round.
 func FuzzImplicitRound(f *testing.F) {
 	f.Add(int64(1), uint8(7), uint8(128), uint16(3), uint8(0))
 	f.Add(int64(42), uint8(0), uint8(0), uint16(0), uint8(5))
@@ -49,6 +50,7 @@ func FuzzImplicitRound(f *testing.F) {
 				t.Fatalf("n=%d round %d:\ngot  %v\nwant %v", n, round, got, want)
 			}
 		}
+		assertCursor(t, "fuzz", plan, s)
 		v := int(vRaw) % n
 		gotTT := plan.Timetable(v)
 		wantTT := schedule.VertexView(s, treeInOriginalIDs(l), v)

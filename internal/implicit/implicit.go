@@ -18,9 +18,10 @@
 // and j-k+2. downSendAt resolves that by walking up the ancestor chain —
 // one O(1) step per level, decreasing the queried time by one per hop —
 // until the query lands in an ancestor's closed-form region or falls off
-// the schedule. Chains are short in practice (each ancestor's b-region is
-// as wide as its subtree), so a full round costs O(n) plus the few hops
-// the round's in-flight o-messages need.
+// the schedule. A random-access round therefore costs up to O(n·h), which
+// dominates on deep trees (rings, paths). Cursor serves the in-order pass
+// that replays and verification need without the walk: it carries each
+// vertex's arrival and D2 captures forward from the previous round.
 //
 // Equivalence with the materialising builder (core.BuildConcurrentUpDown)
 // is bit-exact and enforced by differential tests, property tests over the

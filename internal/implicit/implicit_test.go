@@ -66,6 +66,7 @@ func assertEquivalent(t *testing.T, name string, tree *spantree.Tree) {
 	if got := p.RoundAppend(-1, nil); len(got) != 0 {
 		t.Fatalf("%s: RoundAppend(-1) returned %v", name, got)
 	}
+	assertCursor(t, name, p, s)
 
 	for v := 0; v < tree.N(); v++ {
 		got := p.Timetable(v)
@@ -137,6 +138,12 @@ func TestSingleVertexTree(t *testing.T) {
 	}
 	if got := p.RoundAppend(0, nil); len(got) != 0 {
 		t.Fatalf("single vertex: RoundAppend(0) = %v", got)
+	}
+	if c := p.Cursor(); c.Time() != 0 || len(c.RoundAppend(0, nil)) != 0 {
+		t.Fatal("single vertex: cursor emitted a round")
+	}
+	if sum, err := p.Summarize(); err != nil || sum != (implicit.Summary{}) {
+		t.Fatalf("single vertex: Summarize() = %+v, %v", sum, err)
 	}
 	vt := p.Timetable(0)
 	for _, row := range [][]int{vt.RecvParent, vt.RecvChild, vt.SendParent, vt.SendChild} {

@@ -33,6 +33,38 @@ type Schedule struct {
 	Rounds []Round
 }
 
+// Source is a schedule read round by round: the form the validator and the
+// fault executor consume, so a plan can stream its rounds from a compact
+// encoding instead of materialising them. Consumers read rounds 0..Time()-1
+// in order with one recycled buffer; implementations must still answer any
+// round correctly.
+type Source interface {
+	Processors() int
+	Messages() int
+	Time() int
+	// RoundAppend appends the transmissions of round t to dst and returns
+	// the extended slice; out-of-range rounds append nothing. The appended
+	// To slices may alias the source's storage and are read-only; the source
+	// may reuse the To slices in dst's spare capacity, so one buffer must
+	// serve one Source.
+	RoundAppend(t int, dst []Transmission) []Transmission
+}
+
+// Processors returns the number of processors; it implements Source.
+func (s *Schedule) Processors() int { return s.N }
+
+// Messages returns the number of messages; it implements Source.
+func (s *Schedule) Messages() int { return s.NMsg }
+
+// RoundAppend appends round t to dst, sharing the schedule's destination
+// slices; it implements Source.
+func (s *Schedule) RoundAppend(t int, dst []Transmission) []Transmission {
+	if t < 0 || t >= len(s.Rounds) {
+		return dst
+	}
+	return append(dst, s.Rounds[t]...)
+}
+
 // New returns an empty schedule for n processors and n messages.
 func New(n int) *Schedule { return &Schedule{N: n, NMsg: n} }
 

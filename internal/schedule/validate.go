@@ -48,11 +48,12 @@ type Result struct {
 //
 // On success it returns the final hold sets and statistics; the first
 // violation aborts with a descriptive error naming the round.
-func Run(g *graph.Graph, s *Schedule, opts Options) (*Result, error) {
-	if g.N() != s.N {
-		return nil, fmt.Errorf("schedule: graph has %d processors, schedule %d", g.N(), s.N)
+func Run(g *graph.Graph, s Source, opts Options) (*Result, error) {
+	n, nmsg := s.Processors(), s.Messages()
+	if g.N() != n {
+		return nil, fmt.Errorf("schedule: graph has %d processors, schedule %d", g.N(), n)
 	}
-	holds, err := initialHolds(s, opts.Initial)
+	holds, err := initialHolds(n, nmsg, opts.Initial)
 	if err != nil {
 		return nil, err
 	}
@@ -64,15 +65,17 @@ func Run(g *graph.Graph, s *Schedule, opts Options) (*Result, error) {
 	if ports <= 0 {
 		ports = 1
 	}
-	sentBy := make([]int, s.N) // round when the processor last sent, -1 if not
-	recvBy := make([]int, s.N) // round when the processor last received
-	recvCount := make([]int, s.N)
+	sentBy := make([]int, n) // round when the processor last sent, -1 if not
+	recvBy := make([]int, n) // round when the processor last received
+	recvCount := make([]int, n)
 	for i := range sentBy {
 		sentBy[i] = -1
 		recvBy[i] = -1
 	}
 	ro := opts.Observer
-	for t, round := range s.Rounds {
+	var round []Transmission
+	for t := 0; t < s.Time(); t++ {
+		round = s.RoundAppend(t, round[:0])
 		if ro != nil {
 			ro.BeginRound(t)
 		}
@@ -80,10 +83,10 @@ func Run(g *graph.Graph, s *Schedule, opts Options) (*Result, error) {
 		// Check the round before applying its deliveries: sends at time t
 		// use hold sets that already absorbed deliveries from round t-1.
 		for _, tx := range round {
-			if tx.From < 0 || tx.From >= s.N {
+			if tx.From < 0 || tx.From >= n {
 				return nil, fmt.Errorf("schedule: round %d: sender %d out of range", t, tx.From)
 			}
-			if tx.Msg < 0 || tx.Msg >= s.NMsg {
+			if tx.Msg < 0 || tx.Msg >= nmsg {
 				return nil, fmt.Errorf("schedule: round %d: message %d out of range", t, tx.Msg)
 			}
 			if sentBy[tx.From] == t {
@@ -97,7 +100,7 @@ func Run(g *graph.Graph, s *Schedule, opts Options) (*Result, error) {
 				return nil, fmt.Errorf("schedule: round %d: processor %d multicast with empty destination set", t, tx.From)
 			}
 			for _, d := range tx.To {
-				if d < 0 || d >= s.N {
+				if d < 0 || d >= n {
 					return nil, fmt.Errorf("schedule: round %d: destination %d out of range", t, d)
 				}
 				if d == tx.From {
@@ -148,24 +151,24 @@ func Run(g *graph.Graph, s *Schedule, opts Options) (*Result, error) {
 	return res, nil
 }
 
-func initialHolds(s *Schedule, initial []*Bitset) ([]*Bitset, error) {
-	holds := make([]*Bitset, s.N)
+func initialHolds(n, nmsg int, initial []*Bitset) ([]*Bitset, error) {
+	holds := make([]*Bitset, n)
 	if initial == nil {
-		if s.NMsg != s.N {
-			return nil, fmt.Errorf("schedule: default initial holds need NMsg == N, got %d != %d", s.NMsg, s.N)
+		if nmsg != n {
+			return nil, fmt.Errorf("schedule: default initial holds need NMsg == N, got %d != %d", nmsg, n)
 		}
 		for p := range holds {
-			holds[p] = NewBitset(s.NMsg)
+			holds[p] = NewBitset(nmsg)
 			holds[p].Set(p)
 		}
 		return holds, nil
 	}
-	if len(initial) != s.N {
-		return nil, fmt.Errorf("schedule: %d initial hold sets for %d processors", len(initial), s.N)
+	if len(initial) != n {
+		return nil, fmt.Errorf("schedule: %d initial hold sets for %d processors", len(initial), n)
 	}
 	for p, h := range initial {
-		if h.Len() != s.NMsg {
-			return nil, fmt.Errorf("schedule: initial hold set %d sized %d, want %d", p, h.Len(), s.NMsg)
+		if h.Len() != nmsg {
+			return nil, fmt.Errorf("schedule: initial hold set %d sized %d, want %d", p, h.Len(), nmsg)
 		}
 		holds[p] = h.Clone()
 	}
@@ -184,7 +187,7 @@ func allFull(holds []*Bitset) bool {
 // CheckGossip validates s on g and verifies that it solves the basic
 // gossiping problem: after the last round every processor holds all n
 // messages. It returns the simulation result on success.
-func CheckGossip(g *graph.Graph, s *Schedule) (*Result, error) {
+func CheckGossip(g *graph.Graph, s Source) (*Result, error) {
 	res, err := Run(g, s, Options{})
 	if err != nil {
 		return nil, err

@@ -396,13 +396,14 @@ type Transmission struct {
 // ConcurrentUpDown plans are implicit-backed: the Plan holds only the O(n)
 // compact form (DFS preorder intervals, levels, lip bits and the tree
 // structure) and answers Rounds, Round, RoundAppend and TimetableOf by
-// evaluating the paper's closed-form send/receive rules on demand. The
-// Θ(n²) materialised schedule is built lazily — once, on first use — and
-// only by the operations that genuinely replay or export every delivery
-// (Verify, ExecuteWithFaults, ExecuteTraced, Stats, MarshalJSON, the
-// analysis helpers). Simple plans have no closed form and stay eagerly
-// materialised. Either way the Plan is immutable to callers and safe to
-// share between goroutines; lazy state is built under sync.Once.
+// evaluating the paper's closed-form send/receive rules on demand. Verify,
+// ExecuteWithFaults and ExecuteTraced replay every delivery in one pass
+// through an implicit.Cursor. The Θ(n²) materialised schedule is built
+// lazily — once, on first use — and only by the operations that need the
+// whole schedule at once (Stats, MarshalJSON, the analysis helpers).
+// Simple plans have no closed form and stay eagerly materialised. Either
+// way the Plan is immutable to callers and safe to share between
+// goroutines; lazy state is built under sync.Once.
 type Plan struct {
 	network *graph.Graph
 	algo    Algorithm
@@ -567,9 +568,10 @@ func (p *Plan) errNoSchedule() error {
 }
 
 // schedule returns the fully materialised schedule in original vertex ids,
-// building it from the compact form on first use. Callers that can be
-// served by the closed forms (Round, RoundAppend, TimetableOf, Rounds)
-// never call this; callers that cannot must hold Schedulable().
+// building it from the compact form on first use. Callers served by the
+// closed forms (Round, RoundAppend, TimetableOf, Rounds) or by one in-order
+// pass (source) never call this; callers that need the whole schedule at
+// once must hold Schedulable().
 func (p *Plan) schedule() *schedule.Schedule {
 	p.lazySched.Do(func() {
 		if p.sched != nil {
@@ -579,6 +581,16 @@ func (p *Plan) schedule() *schedule.Schedule {
 		p.sched = core.RemapToOriginal(core.BuildConcurrentUpDown(l), l)
 	})
 	return p.sched
+}
+
+// source returns the plan's rounds for one in-order pass without
+// materialising a ConcurrentUpDown plan: a fresh cursor over the compact
+// form, or the eager schedule. Callers must hold Schedulable().
+func (p *Plan) source() schedule.Source {
+	if p.imp != nil {
+		return p.imp.Cursor()
+	}
+	return p.schedule()
 }
 
 type planConfig struct {
@@ -685,7 +697,8 @@ func appendTransmission(dst []Transmission, msg, from int, to []int) []Transmiss
 // Verify re-validates the plan against the communication model and checks
 // that gossiping completes; it returns nil for every plan this package
 // produces and exists so users can assert it cheaply in their own tests.
-// Verify replays every delivery, so it materialises the full schedule.
+// Verify replays every delivery against n² bits of hold state; a
+// ConcurrentUpDown plan streams its rounds and is never materialised.
 // Algebraic plans re-simulate their seeded run and check it reproduces the
 // recorded outcome.
 func (p *Plan) Verify() error {
@@ -699,7 +712,7 @@ func (p *Plan) Verify() error {
 		}
 		return nil
 	}
-	_, err := schedule.CheckGossip(p.network, p.schedule())
+	_, err := schedule.CheckGossip(p.network, p.source())
 	return err
 }
 

@@ -134,7 +134,7 @@ func (p *Plan) ExecuteTraced(observer RoundObserver) (TraceReport, error) {
 	progress := obs.NewProgressCollector(n, n*n)
 	ro := obs.Multi(observer, progress)
 	ro.BeginPhase("schedule", p.algo.String())
-	res, err := schedule.Run(p.network, p.schedule(), schedule.Options{Observer: ro})
+	res, err := schedule.Run(p.network, p.source(), schedule.Options{Observer: ro})
 	ro.EndPhase("schedule")
 	if err != nil {
 		return TraceReport{}, err
@@ -145,7 +145,7 @@ func (p *Plan) ExecuteTraced(observer RoundObserver) (TraceReport, error) {
 		deliveries += r.Delivered
 	}
 	return TraceReport{
-		Rounds:           p.schedule().Time(),
+		Rounds:           p.Rounds(),
 		Deliveries:       deliveries,
 		WastedDeliveries: res.WastedDeliveries,
 		CompleteAt:       res.CompleteAt,

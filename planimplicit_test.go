@@ -83,8 +83,10 @@ func TestImplicitPlanMatchesMaterialised(t *testing.T) {
 
 // TestPlanLazyMaterialisationStateMachine pins the state transitions: an
 // implicit-backed plan starts with no tree, labelling or schedule; tree
-// views build on TreeString; the schedule builds only on Verify (or
-// another full-replay operation); Simple plans are eager throughout.
+// views build on TreeString; the replays (Verify, ExecuteWithFaults,
+// ExecuteTraced) stream through a cursor and never materialise; the
+// schedule builds only on Stats (or another whole-schedule operation);
+// Simple plans are eager throughout.
 func TestPlanLazyMaterialisationStateMachine(t *testing.T) {
 	nw := Ring(24)
 	plan, err := nw.PlanGossip()
@@ -111,8 +113,18 @@ func TestPlanLazyMaterialisationStateMachine(t *testing.T) {
 	if err := plan.Verify(); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := plan.ExecuteWithFaults(WithLinkLoss(0.05, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.ExecuteTraced(nil); err != nil {
+		t.Fatal(err)
+	}
+	if plan.sched != nil {
+		t.Fatal("a streamed replay materialised the schedule")
+	}
+	_ = plan.Stats()
 	if plan.sched == nil {
-		t.Fatal("Verify did not materialise the schedule")
+		t.Fatal("Stats did not materialise the schedule")
 	}
 	if got, want := plan.sched.Time(), plan.imp.Rounds(); got != want {
 		t.Fatalf("materialised time %d != implicit rounds %d", got, want)

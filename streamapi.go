@@ -1,8 +1,8 @@
 package multigossip
 
 import (
+	"multigossip/internal/implicit"
 	"multigossip/internal/spantree"
-	"multigossip/internal/stream"
 )
 
 // StreamSummary reports a streamed gossip plan: the schedule was generated
@@ -27,12 +27,13 @@ type StreamSummary struct {
 
 // GossipStreamSummary plans gossiping without materialising the Θ(n²)
 // schedule: it builds a spanning tree, streams the ConcurrentUpDown rounds
-// with O(n) state, and count-verifies the invariants (single send/receive
-// per round, tree edges only, exactly n-1 receives everywhere, n + height
-// rounds). With approxTree the tree comes from the O(m) double-sweep
-// (exact on tree networks, height within [r, 2r] in general) instead of
-// the paper's O(mn) exhaustive construction — the right trade at n in the
-// tens of thousands, where the exhaustive construction is the bottleneck.
+// through an implicit.Cursor with O(n) state, and count-verifies the
+// invariants (single send/receive per round, tree edges only, exactly n-1
+// receives everywhere, n + height rounds). With approxTree the tree comes
+// from the O(m) double-sweep (exact on tree networks, height within
+// [r, 2r] in general) instead of the paper's O(mn) exhaustive
+// construction — the right trade at n in the tens of thousands, where the
+// exhaustive construction is the bottleneck.
 func (nw *Network) GossipStreamSummary(approxTree bool) (StreamSummary, error) {
 	var (
 		tr  *spantree.Tree
@@ -46,8 +47,7 @@ func (nw *Network) GossipStreamSummary(approxTree bool) (StreamSummary, error) {
 	if err != nil {
 		return StreamSummary{}, err
 	}
-	l := spantree.Label(tr)
-	sum, err := stream.Verify(l)
+	sum, err := implicit.New(spantree.Label(tr)).Summarize()
 	if err != nil {
 		return StreamSummary{}, err
 	}
