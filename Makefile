@@ -1,14 +1,15 @@
 # Development targets. `make check` is the PR gate: vet, build, the full
 # test suite under the race detector (the sweep engine runs a worker pool on
 # every MinDepth/Radius/Diameter call, so every PR must exercise it under
-# -race), a one-iteration sweep benchmark smoke, and a small faultbench run
-# proving the fault-injection / repair pipeline end to end.
+# -race), a one-iteration sweep benchmark smoke, a small faultbench run
+# proving the fault-injection / repair pipeline end to end, and a run of
+# every examples/ program.
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race cover perfbench-check bench-smoke fault-smoke fuzz-smoke serve-smoke plan-smoke churn-smoke store-smoke sim-smoke matrix-smoke bench sweep-record fault-record obs-record serve-record plan-record churn-record store-record sim-record matrix-record experiments
+.PHONY: check vet staticcheck build test race cover perfbench-check bench-smoke examples-smoke fault-smoke fuzz-smoke serve-smoke plan-smoke churn-smoke store-smoke sim-smoke matrix-smoke bench sweep-record fault-record obs-record serve-record plan-record churn-record store-record sim-record matrix-record experiments
 
-check: vet staticcheck build race cover perfbench-check bench-smoke fault-smoke fuzz-smoke serve-smoke plan-smoke churn-smoke store-smoke sim-smoke matrix-smoke
+check: vet staticcheck build race cover perfbench-check bench-smoke examples-smoke fault-smoke fuzz-smoke serve-smoke plan-smoke churn-smoke store-smoke sim-smoke matrix-smoke
 
 # Vet plus a formatting gate: gofmt must list no file.
 vet:
@@ -55,6 +56,14 @@ perfbench-check:
 # still run and agree without paying full measurement time.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Sweep -benchtime=1x . ./internal/graph
+
+# Run every examples/ program and require exit 0. go test never runs their
+# main functions; examples/weighted drives the whole WeightedPlan surface.
+examples-smoke:
+	@set -e; pkgs=$$($(GO) list ./examples/...); for pkg in $$pkgs; do \
+		echo "examples-smoke: $$pkg"; \
+		$(GO) run $$pkg >/dev/null; \
+	done
 
 # Small end-to-end run of the self-healing pipeline: inject loss, repair,
 # and require the record machinery to work, without paying full bench time.

@@ -217,9 +217,10 @@ func (pc *PlanCache) Stats() CacheStats { return pc.c.Stats() }
 // estimate. Implicit-backed ConcurrentUpDown plans cost their packed O(n)
 // arrays plus the graph snapshot: kilobytes where the materialised form
 // costs megabytes, which is what lets one cache hold thousands of
-// topologies. Materialised (Simple) plans cost the full schedule — one
-// Transmission header plus the To slice per multicast — plus the tree,
-// labels and snapshot.
+// topologies. Eager plans (every schedulable planner other than
+// ConcurrentUpDown) cost the full schedule — one Transmission header plus
+// the To slice per multicast — plus the tree, labels, message owners and
+// snapshot.
 //
 // The size is measured once, at cache insert. An implicit-backed plan
 // that is later asked for Stats, JSON export or an analysis materialises
@@ -246,5 +247,6 @@ func (p *Plan) SizeBytes() int64 {
 		}
 	}
 	b += int64(p.network.N()) * 6 * word // parents, levels, labels, ecc
+	b += int64(len(p.owners)) * word
 	return b
 }

@@ -288,10 +288,11 @@ func (p *Plan) executeWithFaults(s schedule.Source, opts []FaultOption) (FaultRe
 			}
 		}
 	}
-	progress := obs.NewProgressCollector(n, n*n)
+	start, msgs := p.startHolds()
+	progress := obs.NewProgressCollector(msgs, n*msgs)
 	ro := obs.Multi(cfg.observer, progress)
 	ro.BeginPhase("schedule", p.algo.String())
-	holds, dropped, err := fault.ExecuteTraced(p.network, s, inj, nil, 0, nil, ro)
+	holds, dropped, err := fault.ExecuteTraced(p.network, s, inj, start, 0, nil, ro)
 	ro.EndPhase("schedule")
 	if err != nil {
 		return FaultReport{}, err

@@ -61,47 +61,10 @@ type Suite struct {
 // NewSuite returns a Suite with the default seed used by EXPERIMENTS.md.
 func NewSuite() *Suite { return &Suite{Seed: 20010425} } // IPDPS 2001 vintage
 
-// All runs every experiment in order.
-func (s *Suite) All() []*Table {
-	return []*Table{
-		s.E1RingRotation(),
-		s.E2Petersen(),
-		s.E3Separation(),
-		s.E4TreeConstruction(),
-		s.E5Table1(),
-		s.E6Table2(),
-		s.E7Table3(),
-		s.E8Table4(),
-		s.E9SimpleBound(),
-		s.E10CUDBound(),
-		s.E11OddLine(),
-		s.E12ApproxRatio(),
-		s.E13Broadcast(),
-		s.E14TelephoneSeparation(),
-		s.E15MinDepthTree(),
-		s.E16Weighted(),
-		s.E17Online(),
-		s.E18Comparative(),
-		s.E19LineOptimal(),
-		s.E20RootAblation(),
-		s.E21Fragility(),
-		s.E22FanoutSweep(),
-		s.E23OptimalityGap(),
-		s.E24BarrierMakespan(),
-		s.E25PipelineThroughput(),
-		s.E26Randomized(),
-		s.E27KPortSweep(),
-		s.E28MillionNodeSim(),
-		s.E29Portfolio(),
-	}
-}
-
-// AllParallel runs every experiment concurrently (one goroutine each) and
-// returns them in suite order. Experiments are independent — each seeds
-// its own random source from s.Seed — so the results are identical to
-// All()'s; the suite wall-clock drops to the slowest single experiment.
-func (s *Suite) AllParallel() []*Table {
-	runs := []func() *Table{
+// runs lists every experiment in suite order: the one list behind All and
+// AllParallel.
+func (s *Suite) runs() []func() *Table {
+	return []func() *Table{
 		s.E1RingRotation, s.E2Petersen, s.E3Separation, s.E4TreeConstruction,
 		s.E5Table1, s.E6Table2, s.E7Table3, s.E8Table4,
 		s.E9SimpleBound, s.E10CUDBound, s.E11OddLine, s.E12ApproxRatio,
@@ -112,6 +75,24 @@ func (s *Suite) AllParallel() []*Table {
 		s.E26Randomized, s.E27KPortSweep, s.E28MillionNodeSim,
 		s.E29Portfolio,
 	}
+}
+
+// All runs every experiment in order.
+func (s *Suite) All() []*Table {
+	runs := s.runs()
+	out := make([]*Table, len(runs))
+	for i, run := range runs {
+		out[i] = run()
+	}
+	return out
+}
+
+// AllParallel runs every experiment concurrently (one goroutine each) and
+// returns them in suite order. Experiments are independent — each seeds
+// its own random source from s.Seed — so the results are identical to
+// All()'s; the suite wall-clock drops to the slowest single experiment.
+func (s *Suite) AllParallel() []*Table {
+	runs := s.runs()
 	out := make([]*Table, len(runs))
 	var wg sync.WaitGroup
 	for i, run := range runs {

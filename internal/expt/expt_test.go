@@ -2,8 +2,13 @@ package expt
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
+
+// serialTables runs the serial suite once per test binary; every test
+// that inspects its tables shares the one run.
+var serialTables = sync.OnceValue(func() []*Table { return NewSuite().All() })
 
 // TestAllExperimentsReproduce runs the full suite and requires every
 // experiment to report REPRODUCED — this is the repository's end-to-end
@@ -12,8 +17,7 @@ func TestAllExperimentsReproduce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite skipped in -short mode")
 	}
-	suite := NewSuite()
-	for _, table := range suite.All() {
+	for _, table := range serialTables() {
 		if !table.Pass {
 			t.Errorf("%s (%s): MISMATCH\n%s", table.ID, table.Title, table.Markdown())
 		}
@@ -27,7 +31,7 @@ func TestSuiteOrderAndIDs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite skipped in -short mode")
 	}
-	tables := NewSuite().All()
+	tables := serialTables()
 	if len(tables) != 29 {
 		t.Fatalf("suite has %d experiments, want 29", len(tables))
 	}
@@ -63,10 +67,11 @@ func TestRenderContainsEveryExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite skipped in -short mode")
 	}
-	out := NewSuite().Render()
-	for i := 1; i <= 27; i++ {
-		if !strings.Contains(out, "## E"+itoa(i)+" ") {
-			t.Errorf("render missing experiment E%d", i)
+	tables := serialTables()
+	out := render(tables)
+	for _, table := range tables {
+		if !strings.Contains(out, "## "+table.ID+" ") {
+			t.Errorf("render missing experiment %s", table.ID)
 		}
 	}
 	if !strings.Contains(out, "# EXPERIMENTS") {
@@ -81,7 +86,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite skipped in -short mode")
 	}
-	serial := NewSuite().All()
+	serial := serialTables()
 	parallel := NewSuite().AllParallel()
 	if len(serial) != len(parallel) {
 		t.Fatalf("lengths differ: %d vs %d", len(serial), len(parallel))

@@ -187,8 +187,13 @@ func allFull(holds []*Bitset) bool {
 // CheckGossip validates s on g and verifies that it solves the basic
 // gossiping problem: after the last round every processor holds all n
 // messages. It returns the simulation result on success.
-func CheckGossip(g *graph.Graph, s Source) (*Result, error) {
-	res, err := Run(g, s, Options{})
+func CheckGossip(g *graph.Graph, s Source) (*Result, error) { return CheckGossipFrom(g, s, nil) }
+
+// CheckGossipFrom is CheckGossip from the given starting hold sets (nil
+// for the basic instance; see Options.Initial): after the last round every
+// processor must hold every message.
+func CheckGossipFrom(g *graph.Graph, s Source, initial []*Bitset) (*Result, error) {
+	res, err := Run(g, s, Options{Initial: initial})
 	if err != nil {
 		return nil, err
 	}

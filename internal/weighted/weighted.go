@@ -45,12 +45,16 @@ type Plan struct {
 
 // InitialHolds returns the hold sets of the contracted instance: processor
 // v holds exactly its own messages.
-func (p *Plan) InitialHolds() []*schedule.Bitset {
-	holds := make([]*schedule.Bitset, p.Schedule.N)
+func (p *Plan) InitialHolds() []*schedule.Bitset { return OwnerHolds(p.Schedule.N, p.MsgOwner) }
+
+// OwnerHolds returns n hold sets over len(owner) messages in which
+// processor v holds exactly the messages m with owner[m] == v.
+func OwnerHolds(n int, owner []int) []*schedule.Bitset {
+	holds := make([]*schedule.Bitset, n)
 	for v := range holds {
-		holds[v] = schedule.NewBitset(p.TotalMessages)
+		holds[v] = schedule.NewBitset(len(owner))
 	}
-	for m, v := range p.MsgOwner {
+	for m, v := range owner {
 		holds[v].Set(m)
 	}
 	return holds

@@ -20,9 +20,10 @@
 //	// plan.Rounds() == 8 + 4; plan.Verify() == nil
 //
 // Secondary entry points cover the paper's baselines (algorithm Simple,
-// broadcast), the weighted extension (WeightedGossip), and a distributed
-// executor (Plan.ExecuteDistributed) that replays the schedule with one
-// goroutine per processor deriving its actions from local data only.
+// broadcast), the weighted extension (Network.PlanWeightedGossip), and a
+// distributed executor (Plan.ExecuteDistributed) that replays the schedule
+// with one goroutine per processor deriving its actions from local data
+// only.
 package multigossip
 
 import (
@@ -401,9 +402,10 @@ type Transmission struct {
 // through an implicit.Cursor. The Θ(n²) materialised schedule is built
 // lazily — once, on first use — and only by the operations that need the
 // whole schedule at once (Stats, MarshalJSON, the analysis helpers).
-// Simple plans have no closed form and stay eagerly materialised. Either
-// way the Plan is immutable to callers and safe to share between
-// goroutines; lazy state is built under sync.Once.
+// Every other schedulable planner (Simple, Pipelined, Weighted, Beep) has
+// no closed form and builds its schedule eagerly. Either way the Plan is
+// immutable to callers and safe to share between goroutines; lazy state is
+// built under sync.Once.
 type Plan struct {
 	network *graph.Graph
 	algo    Algorithm
@@ -430,6 +432,11 @@ type Plan struct {
 	// Algebraic plans, whose coded packets no Transmission can express.
 	alg  *algebraic.Result
 	seed int64
+
+	// owners maps each message to the processor it starts at; nil means
+	// processor v starts with message v. Only weighted plans with some
+	// count above 1 carry owners (see planWeighted).
+	owners []int
 }
 
 // PlanGossip constructs a gossip schedule for the network, by default with
@@ -502,20 +509,19 @@ var planBuilders = map[Algorithm]func(*graph.Graph, planConfig) (*Plan, error){
 		}, nil
 	},
 	Weighted: func(g *graph.Graph, cfg planConfig) (*Plan, error) {
-		// Unit counts: the chain expansion is the network itself and the
-		// contracted schedule meets Theorem 1's N + R exactly.
+		// Unit counts: the chain expansion is the network itself, so its
+		// tree views are the network's and the contracted schedule meets
+		// Theorem 1's N + R exactly.
 		counts := make([]int, g.N())
 		for i := range counts {
 			counts[i] = 1
 		}
-		wp, err := weighted.Gossip(g, counts)
+		p, wp, err := planWeighted(g, counts)
 		if err != nil {
 			return nil, err
 		}
-		return &Plan{
-			network: g, algo: cfg.algo, radius: wp.ExpandedRadius, sweep: wp.Sweep,
-			tree: wp.Tree, labeled: wp.Labeled, sched: wp.Schedule,
-		}, nil
+		p.tree, p.labeled = wp.Tree, wp.Labeled
+		return p, nil
 	},
 	Beep: func(g *graph.Graph, cfg planConfig) (*Plan, error) {
 		s, err := beep.Gossip(g, 0)
@@ -591,6 +597,16 @@ func (p *Plan) source() schedule.Source {
 		return p.imp.Cursor()
 	}
 	return p.schedule()
+}
+
+// startHolds returns the hold sets a replay of the plan starts from and the
+// number of messages: nil (processor v holds message v) and n for every
+// plan without owners, each owner's messages and TotalMessages otherwise.
+func (p *Plan) startHolds() ([]*schedule.Bitset, int) {
+	if p.owners == nil {
+		return nil, p.network.N()
+	}
+	return weighted.OwnerHolds(p.network.N(), p.owners), len(p.owners)
 }
 
 type planConfig struct {
@@ -712,7 +728,8 @@ func (p *Plan) Verify() error {
 		}
 		return nil
 	}
-	_, err := schedule.CheckGossip(p.network, p.source())
+	holds, _ := p.startHolds()
+	_, err := schedule.CheckGossipFrom(p.network, p.source(), holds)
 	return err
 }
 

@@ -130,11 +130,11 @@ func (p *Plan) ExecuteTraced(observer RoundObserver) (TraceReport, error) {
 	if !p.Schedulable() {
 		return TraceReport{}, p.errNoSchedule()
 	}
-	n := p.network.N()
-	progress := obs.NewProgressCollector(n, n*n)
+	start, msgs := p.startHolds()
+	progress := obs.NewProgressCollector(msgs, p.network.N()*msgs)
 	ro := obs.Multi(observer, progress)
 	ro.BeginPhase("schedule", p.algo.String())
-	res, err := schedule.Run(p.network, p.source(), schedule.Options{Observer: ro})
+	res, err := schedule.Run(p.network, p.source(), schedule.Options{Initial: start, Observer: ro})
 	ro.EndPhase("schedule")
 	if err != nil {
 		return TraceReport{}, err

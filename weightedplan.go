@@ -2,24 +2,20 @@ package multigossip
 
 import (
 	"errors"
-	"fmt"
 
-	"multigossip/internal/fault"
 	"multigossip/internal/graph"
-	"multigossip/internal/obs"
-	"multigossip/internal/repair"
-	"multigossip/internal/schedule"
-	"multigossip/internal/trace"
 	"multigossip/internal/weighted"
 )
 
 // WeightedPlan is a schedule for the weighted gossiping problem of
 // Section 4: processor v starts with counts[v] >= 1 messages and every
-// message must reach every processor. Like Plan it is immutable and safe
-// to share between goroutines.
+// message must reach every processor. It is a view over an ordinary Plan
+// whose messages start at their owners rather than one per processor, plus
+// the expanded round count. Like Plan it is immutable and safe to share
+// between goroutines.
 type WeightedPlan struct {
-	network *graph.Graph // private topology snapshot
-	plan    *weighted.Plan
+	plan           *Plan
+	expandedRounds int
 }
 
 // PlanWeightedGossip solves weighted gossiping by the paper's chain
@@ -31,190 +27,89 @@ type WeightedPlan struct {
 // a private snapshot of the topology, so it is safe to run concurrently
 // with link churn.
 func (nw *Network) PlanWeightedGossip(counts []int) (*WeightedPlan, error) {
-	g := nw.snapshotGraph()
-	p, err := weighted.Gossip(g, counts)
+	p, wp, err := planWeighted(nw.snapshotGraph(), counts)
 	if err != nil {
-		if errors.Is(err, graph.ErrDisconnected) {
-			return nil, ErrDisconnected
-		}
 		return nil, err
 	}
-	return &WeightedPlan{network: g, plan: p}, nil
+	return &WeightedPlan{plan: p, expandedRounds: wp.Expanded.Time()}, nil
+}
+
+// planWeighted is the one weighted constructor, shared by
+// PlanWeightedGossip and the registry's Weighted planner. It returns the
+// contracted schedule as an eager Plan together with the full expansion.
+// The Plan carries message owners only when some count exceeds 1, and no
+// tree views: the expansion's tree spans the virtual chain processors too.
+func planWeighted(g *graph.Graph, counts []int) (*Plan, *weighted.Plan, error) {
+	wp, err := weighted.Gossip(g, counts)
+	if err != nil {
+		if errors.Is(err, graph.ErrDisconnected) {
+			return nil, nil, ErrDisconnected
+		}
+		return nil, nil, err
+	}
+	p := &Plan{network: g, algo: Weighted, radius: wp.ExpandedRadius, sweep: wp.Sweep, sched: wp.Schedule}
+	if wp.TotalMessages > g.N() {
+		p.owners = wp.MsgOwner
+	}
+	return p, wp, nil
 }
 
 // Rounds returns the contracted schedule's total communication time.
-func (p *WeightedPlan) Rounds() int { return p.plan.Schedule.Time() }
+func (p *WeightedPlan) Rounds() int { return p.plan.Rounds() }
 
 // TotalMessages returns the number of messages across all processors.
-func (p *WeightedPlan) TotalMessages() int { return p.plan.TotalMessages }
+func (p *WeightedPlan) TotalMessages() int { return p.plan.sched.NMsg }
 
 // ExpandedRounds returns the chain-expanded schedule's total time, which is
 // exactly TotalMessages + ExpandedRadius by Theorem 1.
-func (p *WeightedPlan) ExpandedRounds() int { return p.plan.Expanded.Time() }
+func (p *WeightedPlan) ExpandedRounds() int { return p.expandedRounds }
 
 // ExpandedRadius returns the radius of the chain-expanded network.
-func (p *WeightedPlan) ExpandedRadius() int { return p.plan.ExpandedRadius }
+func (p *WeightedPlan) ExpandedRadius() int { return p.plan.radius }
 
 // MessageOwner returns the processor at which message m originates, or -1
 // for a message id outside [0, TotalMessages).
 func (p *WeightedPlan) MessageOwner(m int) int {
-	if m < 0 || m >= len(p.plan.MsgOwner) {
+	switch {
+	case m < 0 || m >= p.TotalMessages():
 		return -1
+	case p.plan.owners == nil:
+		return m
 	}
-	return p.plan.MsgOwner[m]
+	return p.plan.owners[m]
 }
 
 // Round returns the transmissions of round t of the contracted schedule.
 // Out-of-range rounds — negative or past the end — return nil, matching
-// Plan.Round. (An earlier version indexed the schedule unchecked and
-// panicked on both.)
-func (p *WeightedPlan) Round(t int) []Transmission {
-	return p.RoundAppend(t, nil)
-}
+// Plan.Round.
+func (p *WeightedPlan) Round(t int) []Transmission { return p.plan.Round(t) }
 
 // RoundAppend appends the transmissions of round t to dst and returns the
 // extended slice — the allocation-free counterpart of Round, with the same
 // scratch-reuse contract as Plan.RoundAppend. Out-of-range rounds append
 // nothing.
 func (p *WeightedPlan) RoundAppend(t int, dst []Transmission) []Transmission {
-	if t < 0 || t >= len(p.plan.Schedule.Rounds) {
-		return dst
-	}
-	for _, tx := range p.plan.Schedule.Rounds[t] {
-		dst = appendTransmission(dst, tx.Msg, tx.From, tx.To)
-	}
-	return dst
+	return p.plan.RoundAppend(t, dst)
 }
 
 // TimetableOf renders processor v's rows of the contracted schedule. The
 // contraction has no per-vertex tree role (chain-internal hops are
 // mimicked away), so the flat send/receive view is used.
-func (p *WeightedPlan) TimetableOf(v int) string {
-	return trace.FormatTimetable(schedule.FlatView(p.plan.Schedule, v))
-}
+func (p *WeightedPlan) TimetableOf(v int) string { return p.plan.TimetableOf(v) }
 
 // Verify re-validates the contracted schedule under the model with the
 // weighted initial hold sets and checks completion.
-func (p *WeightedPlan) Verify() error {
-	res, err := schedule.Run(p.network, p.plan.Schedule, schedule.Options{Initial: p.plan.InitialHolds()})
-	if err != nil {
-		return err
-	}
-	for v, h := range res.Holds {
-		if !h.Full() {
-			return fmt.Errorf("multigossip: processor %d is missing %d messages", v, len(h.Missing()))
-		}
-	}
-	return nil
-}
+func (p *WeightedPlan) Verify() error { return p.plan.Verify() }
 
 // SizeBytes reports the plan's resident size — the plancache.Sizer
-// contract for the weighted cache tier. Both the contracted and the
-// expanded schedule are charged; weighted plans are always materialised.
-func (p *WeightedPlan) SizeBytes() int64 {
-	const word = 8
-	b := int64(p.network.N())*2*word + int64(p.network.M())*2*word
-	for _, s := range []*schedule.Schedule{p.plan.Schedule, p.plan.Expanded} {
-		b += int64(len(s.Rounds)) * 3 * word
-		for _, r := range s.Rounds {
-			b += int64(len(r)) * 5 * word
-			for _, tx := range r {
-				b += int64(len(tx.To)) * word
-			}
-		}
-	}
-	b += int64(len(p.plan.MsgOwner)) * word
-	return b
-}
+// contract for the weighted cache tier: the contracted schedule and the
+// message owners. The expanded schedule is not retained.
+func (p *WeightedPlan) SizeBytes() int64 { return p.plan.SizeBytes() }
 
-// ExecuteWithFaults replays the weighted plan under injected faults with
-// full fault propagation, then runs the same self-healing loop as
-// Plan.ExecuteWithFaults: compute which processors miss which messages,
-// synthesize model-valid repair rounds, execute them under the same fault
-// model, and iterate within the repair budget. The repair engine is
-// message-count agnostic, so the weighted instance (NMsg > N, weighted
-// initial holds) reuses it unchanged; coverage fractions are over
+// ExecuteWithFaults replays the weighted plan under injected faults and
+// runs the self-healing loop exactly as Plan.ExecuteWithFaults does, from
+// the weighted initial hold sets; coverage fractions are over
 // Processors() x TotalMessages() pairs.
 func (p *WeightedPlan) ExecuteWithFaults(opts ...FaultOption) (FaultReport, error) {
-	cfg := faultConfig{repair: true}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.validation != nil {
-		return FaultReport{}, cfg.validation
-	}
-	var inj fault.Injector
-	if len(cfg.injectors) > 0 {
-		inj = cfg.injectors
-	}
-	s := p.plan.Schedule
-	for _, c := range cfg.injectors {
-		switch f := c.(type) {
-		case fault.CrashWindow:
-			if f.Proc >= s.N {
-				return FaultReport{}, fmt.Errorf("multigossip: crash processor %d out of range [0,%d)", f.Proc, s.N)
-			}
-		case fault.DeadLink:
-			if f.U >= s.N || f.V >= s.N {
-				return FaultReport{}, fmt.Errorf("multigossip: dead link (%d, %d) out of range [0,%d)", f.U, f.V, s.N)
-			}
-			if !p.network.HasEdge(f.U, f.V) {
-				return FaultReport{}, fmt.Errorf("multigossip: dead link (%d, %d) is not a network link", f.U, f.V)
-			}
-		}
-	}
-	n := p.network.N()
-	progress := obs.NewProgressCollector(n, n*p.plan.TotalMessages)
-	ro := obs.Multi(cfg.observer, progress)
-	ro.BeginPhase("schedule", "Weighted")
-	holds, dropped, err := fault.ExecuteTraced(p.network, s, inj, p.plan.InitialHolds(), 0, nil, ro)
-	ro.EndPhase("schedule")
-	if err != nil {
-		return FaultReport{}, err
-	}
-	rep := FaultReport{
-		Coverage:       fault.Coverage(holds),
-		ScheduleRounds: s.Time(),
-		Dropped:        dropped,
-	}
-	if !cfg.repair {
-		rep.FinalCoverage = rep.Coverage
-		rep.ReachableCoverage = rep.Coverage
-		rep.TotalRounds = rep.ScheduleRounds
-		rep.Complete = repair.MissingPairs(holds) == 0
-		rep.ProgressCurve = progress.Curve()
-		return rep, nil
-	}
-	ro.BeginPhase("repair", "")
-	out, err := repair.Run(p.network, holds, repair.Options{
-		MaxIterations:       cfg.maxIters,
-		Injector:            inj,
-		RoundOffset:         s.Time(),
-		Validate:            true,
-		QuarantineThreshold: cfg.quarantine,
-		Observer:            ro,
-	})
-	ro.EndPhase("repair")
-	if err != nil {
-		return FaultReport{}, err
-	}
-	rep.Dropped += out.Dropped
-	rep.Repaired = out.Repaired
-	rep.RepairRounds = out.Rounds
-	rep.RepairIterations = out.Iterations
-	rep.TotalRounds = rep.ScheduleRounds + out.Rounds
-	rep.FinalCoverage = fault.Coverage(out.Holds)
-	rep.Complete = out.Complete
-	rep.ReachableCoverage = out.ReachableCoverage
-	for _, pr := range out.Unreachable {
-		rep.Unreachable = append(rep.Unreachable, Pair{Processor: pr.Processor, Message: pr.Message})
-	}
-	for _, e := range out.QuarantinedLinks {
-		rep.QuarantinedLinks = append(rep.QuarantinedLinks, Link{U: e.U, V: e.V})
-	}
-	rep.DownProcessors = out.DownProcessors
-	rep.Components = out.Components
-	rep.Stalled = out.Stalled
-	rep.ProgressCurve = progress.Curve()
-	return rep, nil
+	return p.plan.ExecuteWithFaults(opts...)
 }
