@@ -114,7 +114,7 @@ func (p *Plan) Criticality() (critical, deliveries int, err error) {
 	if !p.Schedulable() {
 		return 0, 0, p.errNoSchedule()
 	}
-	rep, err := fault.Criticality(p.network, p.schedule())
+	rep, err := fault.Criticality(p.network, schedule.Collect(p.source()))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -129,7 +129,7 @@ func (p *Plan) CoverageUnderLoss(loss float64, trials int, seed int64) (float64,
 	if !p.Schedulable() {
 		return 0, p.errNoSchedule()
 	}
-	return fault.RandomLoss(p.network, p.schedule(), loss, trials, rand.New(rand.NewSource(seed)))
+	return fault.RandomLoss(p.network, p.source(), loss, trials, rand.New(rand.NewSource(seed)))
 }
 
 // EstimateMakespan prices the plan on barrier-synchronised hardware: each
@@ -141,7 +141,7 @@ func (p *Plan) EstimateMakespan(base, jitter, barrier float64, trials int, seed 
 	if !p.Schedulable() {
 		return 0, p.errNoSchedule()
 	}
-	res, err := async.Makespan(p.schedule(), async.UniformJitter{Base: base, Jitter: jitter},
+	res, err := async.Makespan(p.source(), async.UniformJitter{Base: base, Jitter: jitter},
 		barrier, trials, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return 0, err
@@ -157,7 +157,7 @@ func (p *Plan) MinRepeatPeriod() (int, error) {
 	if !p.Schedulable() {
 		return 0, p.errNoSchedule()
 	}
-	s := p.schedule()
+	s := schedule.Collect(p.source())
 	period, err := pipeline.MinPeriod(p.network, s, 3, s.Time()+1)
 	if err != nil {
 		return 0, err

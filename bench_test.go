@@ -23,7 +23,6 @@ import (
 	"multigossip/internal/expt"
 	"multigossip/internal/graph"
 	"multigossip/internal/implicit"
-	"multigossip/internal/online"
 	"multigossip/internal/schedule"
 	"multigossip/internal/spantree"
 )
@@ -267,21 +266,6 @@ func BenchmarkStageTelephoneGossip(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := baseline.TelephoneGossip(g, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkStageOnlineRun(b *testing.B) {
-	// Goroutine-per-processor distributed execution.
-	for _, n := range []int{64, 256} {
-		l := randomLabeledTree(b, n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := online.Run(l, online.NewConcurrentUpDown(l), 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -222,12 +222,10 @@ func (pc *PlanCache) Stats() CacheStats { return pc.c.Stats() }
 // the To slice per multicast — plus the tree, labels, message owners and
 // snapshot.
 //
-// The size is measured once, at cache insert. An implicit-backed plan
-// that is later asked for Stats, JSON export or an analysis materialises
-// its schedule lazily and from then on occupies more memory than the
-// cache accounted for; serving paths that only read Rounds, Round,
-// RoundAppend and TimetableOf, and the streamed replays (Verify,
-// ExecuteWithFaults, ExecuteTraced), never trigger that growth.
+// The size holds for the plan's whole life: an implicit-backed plan
+// streams every whole-schedule read from its compact form and keeps
+// nothing it builds along the way (only the O(n) tree views, built on
+// first use, are not charged).
 func (p *Plan) SizeBytes() int64 {
 	const word = 8
 	b := int64(p.network.N()) * 2 * word // adjacency index of the snapshot

@@ -347,6 +347,12 @@ func buildNetwork(spec topologySpec) (*multigossip.Network, error) {
 				return nil, fmt.Errorf("invalid edge list: edges[%d]: %w", i, err)
 			}
 		}
+		// A connected network needs n-1 links; refusing a larger n before
+		// NewNetwork keeps a short body from sizing a huge allocation.
+		if n > len(spec.Edges)+1 {
+			return nil, fmt.Errorf("%w: %d processors need at least %d links, got %d",
+				multigossip.ErrDisconnected, n, n-1, len(spec.Edges))
+		}
 		nw := multigossip.NewNetwork(n)
 		for _, e := range spec.Edges {
 			nw.AddLink(e[0], e[1])
@@ -441,6 +447,9 @@ func (s *server) planFor(req planRequest) (*multigossip.Plan, planResponse, int,
 	}
 	nw, err := buildNetwork(req.topologySpec)
 	if err != nil {
+		if errors.Is(err, multigossip.ErrDisconnected) {
+			return nil, planResponse{}, http.StatusUnprocessableEntity, err
+		}
 		return nil, planResponse{}, http.StatusBadRequest, err
 	}
 	begin := time.Now()
@@ -710,6 +719,9 @@ func (s *server) session(req mutateRequest) (sess *churnSession, created bool, s
 	}
 	nw, err := buildNetwork(req.topologySpec)
 	if err != nil {
+		if errors.Is(err, multigossip.ErrDisconnected) {
+			return nil, false, http.StatusUnprocessableEntity, err
+		}
 		return nil, false, http.StatusBadRequest, err
 	}
 	opts := []multigossip.DynamicOption{

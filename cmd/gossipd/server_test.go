@@ -187,6 +187,38 @@ func TestDisconnectedReturns422(t *testing.T) {
 	}
 }
 
+// TestOversizedEdgeListReturns422: a short body naming far more processors
+// than its edges can connect — given outright or inferred from an edge
+// index — must be refused as disconnected before anything is allocated for
+// it, on the plan and the churn-session paths, and leave the server up.
+func TestOversizedEdgeListReturns422(t *testing.T) {
+	_, ts := testServer(t, serverConfig{})
+	bodies := []map[string]any{
+		{"processors": 1 << 40, "edges": [][2]int{{0, 1}}},
+		{"processors": 0, "edges": [][2]int{{0, 1000000000000}}},
+	}
+	for i, b := range bodies {
+		for _, path := range []string{"/plan", "/execute", "/mutate"} {
+			b["session"] = "huge"
+			status, body := post(t, ts.URL, path, b)
+			if status != http.StatusUnprocessableEntity {
+				t.Fatalf("body %d %s: status %d (%s), want 422", i, path, status, body)
+			}
+			if !strings.Contains(string(body), "not connected") {
+				t.Fatalf("body %d %s: error %q does not name the disconnection", i, path, body)
+			}
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after oversized requests: status %d", resp.StatusCode)
+	}
+}
+
 // TestInvalidRequests maps the malformed-input space to 400s.
 func TestInvalidRequests(t *testing.T) {
 	_, ts := testServer(t, serverConfig{})

@@ -110,7 +110,7 @@ func (p *Plan) MarshalJSON() ([]byte, error) {
 	if !p.Schedulable() {
 		return nil, p.errNoSchedule()
 	}
-	return json.Marshal(p.schedule())
+	return json.Marshal(schedule.Collect(p.source()))
 }
 
 // ScheduleJSON renders the plan's schedule as JSON text.

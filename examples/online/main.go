@@ -1,10 +1,11 @@
 // Online: the Section 4 distributed adaptation, executed for real.
 //
 // "The only global information they need is the value of i, j, and k."
-// Each processor runs as its own goroutine knowing just its DFS tuple and
-// tree neighbourhood; a synchronous round engine (the paper's software
-// barrier) carries the messages. The run must match the offline schedule
-// transmission for transmission — ExecuteDistributed errors out otherwise.
+// Each processor runs as a state machine knowing just its DFS tuple and
+// tree neighbourhood, acting only on the messages that actually reach it;
+// synchronous rounds (the paper's software barrier) carry the messages.
+// The run must match the plan transmission for transmission —
+// ExecuteDistributed errors out otherwise.
 package main
 
 import (
@@ -34,7 +35,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: distributed run failed: %v", tc.name, err)
 		}
-		fmt.Printf("%-24s %d goroutines gossiped in %d rounds — identical to the offline schedule (n + r = %d)\n",
+		fmt.Printf("%-24s %d processors gossiped in %d rounds — identical to the offline schedule (n + r = %d)\n",
 			tc.name, tc.nw.Processors(), rounds, plan.Rounds())
 	}
 }

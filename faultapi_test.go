@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"multigossip/internal/core"
 	"multigossip/internal/graph"
 	"multigossip/internal/repair"
 )
@@ -439,9 +440,9 @@ func TestExecuteWithFaultsCursorMatchesMaterialised(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched := plan.schedule()
+		tree, l := plan.treeLabeled()
+		sched := core.RemapToOriginal(core.BuildConcurrentUpDown(l), l)
 		tx := sched.Rounds[2][len(sched.Rounds[2])-1]
-		tree, _ := plan.treeLabeled()
 		leaf := 0
 		for tree.Parent[leaf] == -1 || !tree.IsLeaf(leaf) {
 			leaf++

@@ -58,8 +58,9 @@ type Result struct {
 
 // Makespan simulates barrier-synchronised execution of s: each round costs
 // the maximum latency among its transmissions (or zero for an idle round)
-// plus the fixed barrier overhead. trials runs are averaged.
-func Makespan(s *schedule.Schedule, model LatencyModel, barrier float64, trials int, rng *rand.Rand) (Result, error) {
+// plus the fixed barrier overhead. trials runs are averaged, each reading s
+// once in round order.
+func Makespan(s schedule.Source, model LatencyModel, barrier float64, trials int, rng *rand.Rand) (Result, error) {
 	if model == nil {
 		return Result{}, fmt.Errorf("async: nil latency model")
 	}
@@ -70,8 +71,10 @@ func Makespan(s *schedule.Schedule, model LatencyModel, barrier float64, trials 
 		return Result{}, fmt.Errorf("async: negative barrier cost")
 	}
 	var total, worst float64
+	var round []schedule.Transmission
 	for trial := 0; trial < trials; trial++ {
-		for t, round := range s.Rounds {
+		for t := 0; t < s.Time(); t++ {
+			round = s.RoundAppend(t, round[:0])
 			slowest := 0.0
 			for _, tx := range round {
 				if l := model.Latency(t, tx, rng); l > slowest {

@@ -7,9 +7,10 @@ import (
 	"multigossip/internal/baseline"
 	"multigossip/internal/core"
 	"multigossip/internal/graph"
-	"multigossip/internal/online"
+	"multigossip/internal/implicit"
 	"multigossip/internal/schedule"
 	"multigossip/internal/search"
+	"multigossip/internal/sim"
 	"multigossip/internal/spantree"
 	"multigossip/internal/weighted"
 )
@@ -110,8 +111,8 @@ func (s *Suite) E16Weighted() *Table {
 }
 
 // E17Online verifies the Section 4 online adaptation: processors knowing
-// only (i, j, k, w, n) and their tree neighbourhood reproduce the offline
-// schedule exactly, executing as one goroutine each.
+// only (i, j, k, w, n) and their tree neighbourhood, run as internal/sim's
+// state machines, reproduce the offline schedule exactly.
 func (s *Suite) E17Online() *Table {
 	t := &Table{
 		ID:         "E17",
@@ -139,7 +140,13 @@ func (s *Suite) E17Online() *Table {
 			continue
 		}
 		l := spantree.Label(tr)
-		got, err := online.Run(l, online.NewConcurrentUpDown(l), 0)
+		got := schedule.New(l.N())
+		_, err = sim.Run(implicit.New(l).Topo(), sim.Options{Shards: 1, Sink: func(round int, txs []schedule.Transmission) error {
+			for _, tx := range txs {
+				got.AddSend(round, tx.Msg, tx.From, tx.To...)
+			}
+			return nil
+		}})
 		if err != nil {
 			t.Pass = false
 			t.Rows = append(t.Rows, []string{c.name, itoa(c.g.N()), "-", "NO", "NO"})

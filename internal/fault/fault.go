@@ -222,7 +222,7 @@ type Observer func(absRound, from, to, msg int, outcome DeliveryOutcome)
 // It returns the final hold sets and the number of deliveries lost in
 // flight (skipped transmissions send nothing, so their deliveries are not
 // counted as drops).
-func ExecuteInjected(g *graph.Graph, s *schedule.Schedule, inj Injector, initial []*schedule.Bitset, roundOffset int) (holds []*schedule.Bitset, dropped int, err error) {
+func ExecuteInjected(g *graph.Graph, s schedule.Source, inj Injector, initial []*schedule.Bitset, roundOffset int) (holds []*schedule.Bitset, dropped int, err error) {
 	return ExecuteTraced(g, s, inj, initial, roundOffset, nil, nil)
 }
 
@@ -230,7 +230,7 @@ func ExecuteInjected(g *graph.Graph, s *schedule.Schedule, inj Injector, initial
 // (if non-nil) is called once for every destination of every scheduled
 // transmission with the outcome of that delivery. Execution semantics and
 // return values are identical to ExecuteInjected.
-func ExecuteObserved(g *graph.Graph, s *schedule.Schedule, inj Injector, initial []*schedule.Bitset, roundOffset int, watch Observer) (holds []*schedule.Bitset, dropped int, err error) {
+func ExecuteObserved(g *graph.Graph, s schedule.Source, inj Injector, initial []*schedule.Bitset, roundOffset int, watch Observer) (holds []*schedule.Bitset, dropped int, err error) {
 	return ExecuteTraced(g, s, inj, initial, roundOffset, watch, nil)
 }
 
@@ -381,7 +381,7 @@ func Coverage(holds []*schedule.Bitset) float64 {
 // see ExecuteInjected for the execution semantics. It returns per-processor
 // hold sets and the achieved coverage: the fraction of (processor, message)
 // pairs held at the end.
-func Execute(g *graph.Graph, s *schedule.Schedule, dropped map[DeliveryID]bool) (holds []*schedule.Bitset, coverage float64, err error) {
+func Execute(g *graph.Graph, s schedule.Source, dropped map[DeliveryID]bool) (holds []*schedule.Bitset, coverage float64, err error) {
 	holds, _, err = ExecuteInjected(g, s, DropSet(dropped), nil, 0)
 	if err != nil {
 		return nil, 0, err
@@ -426,8 +426,9 @@ func Criticality(g *graph.Graph, s *schedule.Schedule) (CriticalityReport, error
 
 // RandomLoss drops each delivery independently with probability p over the
 // given number of trials and returns the mean coverage — the degradation
-// curve of the schedule under lossy links.
-func RandomLoss(g *graph.Graph, s *schedule.Schedule, p float64, trials int, rng *rand.Rand) (meanCoverage float64, err error) {
+// curve of the schedule under lossy links. Each trial reads s twice in
+// round order: once to draw the drops, once to execute.
+func RandomLoss(g *graph.Graph, s schedule.Source, p float64, trials int, rng *rand.Rand) (meanCoverage float64, err error) {
 	if p < 0 || p > 1 {
 		return 0, fmt.Errorf("fault: loss probability %v out of [0,1]", p)
 	}
@@ -435,9 +436,11 @@ func RandomLoss(g *graph.Graph, s *schedule.Schedule, p float64, trials int, rng
 		return 0, fmt.Errorf("fault: need at least one trial")
 	}
 	sum := 0.0
+	var round []schedule.Transmission
 	for trial := 0; trial < trials; trial++ {
 		dropped := make(map[DeliveryID]bool)
-		for t, round := range s.Rounds {
+		for t := 0; t < s.Time(); t++ {
+			round = s.RoundAppend(t, round[:0])
 			for txIdx, tx := range round {
 				for _, d := range tx.To {
 					if rng.Float64() < p {

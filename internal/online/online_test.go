@@ -1,4 +1,9 @@
-package online
+// Package online_test checks the paper's Section 4 online protocols as a
+// whole: every processor acts from its local tuple (i, j, k, w, n) only,
+// and the run must reproduce the offline constructors round for round.
+// The protocols execute on internal/sim (sim.Run for ConcurrentUpDown,
+// sim.RunSimple for Simple); this package has no code of its own.
+package online_test
 
 import (
 	"math/rand"
@@ -7,7 +12,9 @@ import (
 
 	"multigossip/internal/core"
 	"multigossip/internal/graph"
+	"multigossip/internal/implicit"
 	"multigossip/internal/schedule"
+	"multigossip/internal/sim"
 	"multigossip/internal/spantree"
 )
 
@@ -18,6 +25,23 @@ func labeledFor(t *testing.T, g *graph.Graph) *spantree.Labeled {
 		t.Fatal(err)
 	}
 	return spantree.Label(tr)
+}
+
+// runCUD runs the online ConcurrentUpDown protocol on one shard and
+// returns the canonical-label schedule its sink saw.
+func runCUD(t *testing.T, l *spantree.Labeled) (*schedule.Schedule, sim.Result) {
+	t.Helper()
+	s := schedule.New(l.N())
+	res, err := sim.Run(implicit.New(l).Topo(), sim.Options{Shards: 1, Sink: func(round int, txs []schedule.Transmission) error {
+		for _, tx := range txs {
+			s.AddSend(round, tx.Msg, tx.From, tx.To...)
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatalf("sim.Run: %v", err)
+	}
+	return s, res
 }
 
 // TestOnlineCUDMatchesOffline is the E17 reproduction: the distributed
@@ -33,39 +57,18 @@ func TestOnlineCUDMatchesOffline(t *testing.T) {
 	}
 	for _, g := range graphs {
 		l := labeledFor(t, g)
-		got, err := Run(l, NewConcurrentUpDown(l), 0)
-		if err != nil {
-			t.Fatalf("%v: %v", g, err)
-		}
+		got, res := runCUD(t, l)
 		want := core.BuildConcurrentUpDown(l)
 		got.Normalize()
 		want.Normalize()
 		if !got.Equal(want) {
 			t.Fatalf("%v: online run differs from offline schedule\nonline:\n%s\noffline:\n%s", g, got, want)
 		}
+		if res.CompleteAt != want.Time() {
+			t.Fatalf("%v: online run completed at %d, offline at %d", g, res.CompleteAt, want.Time())
+		}
 		if _, err := schedule.CheckGossip(l.T.Graph(), got); err != nil {
 			t.Fatalf("%v: %v", g, err)
-		}
-	}
-}
-
-func TestOnlineSimpleMatchesOffline(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	graphs := []*graph.Graph{
-		graph.Path(7), graph.Star(6), graph.Grid(3, 3),
-		graph.RandomTree(rng, 30),
-	}
-	for _, g := range graphs {
-		l := labeledFor(t, g)
-		got, err := Run(l, NewSimple(l), 0)
-		if err != nil {
-			t.Fatalf("%v: %v", g, err)
-		}
-		want := core.BuildSimple(l)
-		got.Normalize()
-		want.Normalize()
-		if !got.Equal(want) {
-			t.Fatalf("%v: online Simple differs from offline", g)
 		}
 	}
 }
@@ -82,10 +85,7 @@ func TestOnlineExhaustiveSmallTrees(t *testing.T) {
 				t.Fatal(err)
 			}
 			l := spantree.Label(tr)
-			got, err := Run(l, NewConcurrentUpDown(l), 0)
-			if err != nil {
-				t.Fatalf("n=%d %v: %v", n, g, err)
-			}
+			got, _ := runCUD(t, l)
 			want := core.BuildConcurrentUpDown(l)
 			got.Normalize()
 			want.Normalize()
@@ -97,66 +97,45 @@ func TestOnlineExhaustiveSmallTrees(t *testing.T) {
 	}
 }
 
+// TestOnlineTrivial: a lone processor has nothing to exchange, so both
+// online programs finish at time 0 without a single transmission.
 func TestOnlineTrivial(t *testing.T) {
 	l := spantree.Label(spantree.MustFromParents([]int{-1}))
-	s, err := Run(l, NewConcurrentUpDown(l), 0)
-	if err != nil || s.Time() != 0 {
-		t.Fatalf("n=1: %v, time=%d", err, s.Time())
-	}
-}
-
-func TestOnlineProtocolCountMismatch(t *testing.T) {
-	l := labeledFor(t, graph.Path(4))
-	if _, err := Run(l, NewConcurrentUpDown(l)[:2], 0); err == nil {
-		t.Fatal("accepted wrong protocol count")
-	}
-}
-
-// conflictProto deliberately sends the same message to everyone every
-// round, forcing a double receive that the engine must detect.
-type conflictProto struct {
-	id    int
-	peers []int
-}
-
-func (c *conflictProto) Deliver(int, int, bool) {}
-func (c *conflictProto) Step(t int) *Transmission {
-	if t > 0 || len(c.peers) == 0 {
+	sink := func(round int, txs []schedule.Transmission) error {
+		if len(txs) > 0 {
+			t.Fatalf("n=1: round %d transmits %v", round, txs)
+		}
 		return nil
 	}
-	return &Transmission{Msg: c.id, Children: c.peers}
-}
-func (c *conflictProto) Done() bool { return false }
-
-func TestOnlineDetectsReceiveConflict(t *testing.T) {
-	l := labeledFor(t, graph.Path(3))
-	// Both endpoints of the path target the middle vertex at round 0.
-	protos := []Protocol{
-		&conflictProto{0, []int{1}},
-		&conflictProto{1, nil},
-		&conflictProto{2, []int{1}},
+	res, err := sim.Run(implicit.New(l).Topo(), sim.Options{Sink: sink})
+	if err != nil || res.CompleteAt != 0 || res.Sends != 0 {
+		t.Fatalf("n=1 ConcurrentUpDown: res=%+v err=%v", res, err)
 	}
-	if _, err := Run(l, protos, 5); err == nil {
-		t.Fatal("double receive not detected")
+	res, err = sim.RunSimple(implicit.New(l).Topo(), sink)
+	if err != nil || res.CompleteAt != 0 || res.Sends != 0 {
+		t.Fatalf("n=1 Simple: res=%+v err=%v", res, err)
 	}
 }
-
-// stallProto is a deliberately broken Protocol: it never transmits and
-// never reports Done, so the ensemble can make no further progress.
-type stallProto struct{}
-
-func (stallProto) Deliver(int, int, bool) {}
-func (stallProto) Step(int) *Transmission { return nil }
-func (stallProto) Done() bool             { return false }
 
 // TestOnlineLivelockFailFast is the regression test for the silent-cap
-// bug: a livelocked ensemble used to spin until the 4(n+height)+8 default
-// cap and report only "exceeded N rounds". Run must now detect the
-// quiescent-but-incomplete state within height+2 rounds and name the
-// stuck vertices in the diagnostic.
+// bug: a livelocked ensemble must not spin until the round cap and report
+// only "exceeded N rounds". Here every processor stalls: each tuple
+// claims a childless vertex whose single send slot i - k fell before
+// time 0, so nothing is ever sent. The engine must detect the quiescent
+// but incomplete state at once and name the stuck vertices.
 func TestOnlineLivelockFailFast(t *testing.T) {
-	l := labeledFor(t, graph.Path(3))
-	_, err := Run(l, []Protocol{stallProto{}, stallProto{}, stallProto{}}, 0)
+	topo := implicit.Topo{
+		N: 3, Height: 1,
+		Hi: []int32{0, 1, 2}, Level: []int32{9, 9, 9},
+		Parent: []int32{-1, 0, 0}, ChildStart: []int32{0, 0, 0, 0},
+		Lip: []uint64{0}, VertexOf: []int32{0, 1, 2}, LabelOf: []int32{0, 1, 2},
+	}
+	_, err := sim.Run(topo, sim.Options{Sink: func(round int, txs []schedule.Transmission) error {
+		if len(txs) > 0 {
+			t.Fatalf("stalled ensemble transmits %v at round %d", txs, round)
+		}
+		return nil
+	}})
 	if err == nil {
 		t.Fatal("livelocked ensemble not detected")
 	}
@@ -164,64 +143,28 @@ func TestOnlineLivelockFailFast(t *testing.T) {
 	if !strings.Contains(msg, "livelock") {
 		t.Fatalf("want livelock diagnostic, got: %v", err)
 	}
-	if !strings.Contains(msg, "stuck processors [0 1 2]") {
+	if !strings.Contains(msg, "3 of 3 processors incomplete (e.g. vertices [0 1 2])") {
 		t.Fatalf("diagnostic does not name the stuck vertices: %v", err)
 	}
-	// Fail fast means well before the default cap 4(n+height)+8 = 24:
-	// for this height-1 tree the grace window is 3 quiescent rounds.
-	if !strings.Contains(msg, "no transmissions for 3 rounds") {
-		t.Fatalf("livelock not detected within height+2 rounds: %v", err)
+	// Fail fast means in the first quiescent round, well before the
+	// default cap n + height + 8 = 12.
+	if !strings.Contains(msg, "livelock at round 0") {
+		t.Fatalf("livelock not detected in the first idle round: %v", err)
 	}
 }
 
-// TestOnlineLivelockTruncatesStuckList: a mass livelock (12 stuck
-// processors) keeps the diagnostic readable — eight named, the rest
-// counted.
-func TestOnlineLivelockTruncatesStuckList(t *testing.T) {
-	l := labeledFor(t, graph.Path(12))
-	protos := make([]Protocol, 12)
-	for v := range protos {
-		protos[v] = stallProto{}
-	}
-	_, err := Run(l, protos, 0)
-	if err == nil {
-		t.Fatal("livelocked ensemble not detected")
-	}
-	if !strings.Contains(err.Error(), "and 4 more") {
-		t.Fatalf("want a truncated stuck list naming 8 of 12, got: %v", err)
-	}
-}
-
-// spamProto transmits every round and never finishes, so only the round
-// cap can stop it (it is never quiescent, hence never a livelock).
-type spamProto struct {
-	id     int
-	parent int
-}
-
-func (s *spamProto) Deliver(int, int, bool) {}
-func (s *spamProto) Step(t int) *Transmission {
-	if s.parent < 0 {
-		return nil
-	}
-	return &Transmission{Msg: s.id, ToParent: true}
-}
-func (s *spamProto) Done() bool { return false }
-
+// TestOnlineRoundCap: a run that cannot finish within the caller's cap
+// stops at the cap and names the processors still incomplete.
 func TestOnlineRoundCap(t *testing.T) {
-	l := labeledFor(t, graph.Path(2))
-	protos := make([]Protocol, l.N())
-	for v := range protos {
-		protos[v] = &spamProto{id: v, parent: l.T.Parent[v]}
-	}
-	_, err := Run(l, protos, 7)
+	l := labeledFor(t, graph.Path(9))
+	_, err := sim.Run(implicit.New(l).Topo(), sim.Options{MaxRounds: 7})
 	if err == nil {
 		t.Fatal("round cap not enforced")
 	}
 	if !strings.Contains(err.Error(), "exceeded 7 rounds") {
 		t.Fatalf("want round-cap diagnostic, got: %v", err)
 	}
-	if !strings.Contains(err.Error(), "stuck processors") {
+	if !strings.Contains(err.Error(), "processors incomplete") {
 		t.Fatalf("cap diagnostic does not name the stuck vertices: %v", err)
 	}
 }

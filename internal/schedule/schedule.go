@@ -65,6 +65,22 @@ func (s *Schedule) RoundAppend(t int, dst []Transmission) []Transmission {
 	return append(dst, s.Rounds[t]...)
 }
 
+// Collect materialises a Source into a Schedule for callers that need
+// random access, copying every destination set out of the source's
+// buffers.
+func Collect(src Source) *Schedule {
+	s := NewWithMessages(src.Processors(), src.Messages())
+	s.Rounds = make([]Round, src.Time())
+	var round []Transmission
+	for t := range s.Rounds {
+		round = src.RoundAppend(t, round[:0])
+		for _, tx := range round {
+			s.Rounds[t] = append(s.Rounds[t], Transmission{Msg: tx.Msg, From: tx.From, To: append([]int(nil), tx.To...)})
+		}
+	}
+	return s
+}
+
 // New returns an empty schedule for n processors and n messages.
 func New(n int) *Schedule { return &Schedule{N: n, NMsg: n} }
 

@@ -16,10 +16,13 @@ type Stats struct {
 	RecvUtilization float64 // RecvSlotsUsed / (N * Time)
 }
 
-// Measure computes Stats from the schedule alone (no validation).
-func Measure(s *Schedule) Stats {
+// Measure computes Stats from the schedule alone (no validation), reading
+// its rounds once in order.
+func Measure(s Source) Stats {
 	st := Stats{Time: s.Time()}
-	for _, round := range s.Rounds {
+	var round []Transmission
+	for t := 0; t < st.Time; t++ {
+		round = s.RoundAppend(t, round[:0])
 		st.Transmissions += len(round)
 		st.SendSlotsUsed += len(round)
 		for _, tx := range round {
@@ -33,7 +36,7 @@ func Measure(s *Schedule) Stats {
 	if st.Transmissions > 0 {
 		st.AvgFanout = float64(st.Deliveries) / float64(st.Transmissions)
 	}
-	if slots := s.N * st.Time; slots > 0 {
+	if slots := s.Processors() * st.Time; slots > 0 {
 		st.SendUtilization = float64(st.SendSlotsUsed) / float64(slots)
 		st.RecvUtilization = float64(st.RecvSlotsUsed) / float64(slots)
 	}

@@ -1,13 +1,13 @@
 // Package sim is the sharded event-loop simulator for the paper's online
-// ConcurrentUpDown protocol. Where internal/online spends a goroutine and
-// an O(n)-bit hold set per processor — a faithful but small-n oracle —
-// this package runs each processor as a compact state machine of a few
+// ConcurrentUpDown protocol (Section 4), and the repo's only online
+// engine. It runs each processor as a compact state machine of a few
 // int32s directly over internal/implicit's packed topology arrays, and
 // moves messages through double-buffered, shard-to-shard batched
 // mailboxes. That brings n = 10⁶ processors within reach of one machine
 // and lets the n + r completion bound of Theorem 1 be observed on a live
 // message-passing execution rather than proved about a materialised
-// schedule.
+// schedule. RunSimple (simple.go) runs algorithm Simple's local rules the
+// same way, synchronously on one shard.
 //
 // Faithfulness. The engine is a real simulation, not a closed-form
 // replay: a processor's only inputs are its (i, j, k, w, n) tuple and the

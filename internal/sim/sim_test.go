@@ -9,7 +9,6 @@ import (
 	"multigossip/internal/graph"
 	"multigossip/internal/implicit"
 	"multigossip/internal/obs"
-	"multigossip/internal/online"
 	"multigossip/internal/schedule"
 	"multigossip/internal/spantree"
 )
@@ -54,24 +53,16 @@ func batteryGraphs() []*graph.Graph {
 	}
 }
 
-// TestSimMatchesOfflineAndOnline is the tentpole's differential gate: the
-// simulator's sync-mode output must be transmission-for-transmission
-// identical to the offline constructor AND to the legacy goroutine
-// engine, across shard counts, and complete at exactly n + r.
+// TestSimMatchesOfflineAndOnline is the differential gate: the online
+// protocol's sync-mode run must be transmission-for-transmission identical
+// to the offline constructor across shard counts, and complete at exactly
+// n + r.
 func TestSimMatchesOfflineAndOnline(t *testing.T) {
 	for _, g := range batteryGraphs() {
 		l := labeledFor(t, g)
 		p := implicit.New(l)
 		offline := core.BuildConcurrentUpDown(l)
 		offline.Normalize()
-		legacy, err := online.Run(l, online.NewConcurrentUpDown(l), 0)
-		if err != nil {
-			t.Fatalf("%v: online.Run: %v", g, err)
-		}
-		legacy.Normalize()
-		if !legacy.Equal(offline) {
-			t.Fatalf("%v: oracle disagreement (online vs offline)", g)
-		}
 		for _, shards := range []int{1, 3, 8} {
 			got, res := record(t, p.Topo(), Options{Shards: shards})
 			got.Normalize()
@@ -180,6 +171,10 @@ func TestSimTrivial(t *testing.T) {
 	res, err = Run(implicit.New(l).Topo(), Options{Async: true})
 	if err != nil || res.CompleteAt != 0 {
 		t.Fatalf("n=1 async: res=%+v err=%v", res, err)
+	}
+	res, err = RunSimple(implicit.New(l).Topo(), nil)
+	if err != nil || res.CompleteAt != 0 || res.Deliveries != 0 {
+		t.Fatalf("n=1 Simple: res=%+v err=%v", res, err)
 	}
 }
 
@@ -461,6 +456,9 @@ func TestSimSinkErrorAborts(t *testing.T) {
 	}
 	if _, err := Run(topo, Options{Async: true, Sink: boom}); err == nil {
 		t.Fatal("async sink error must abort the run")
+	}
+	if _, err := RunSimple(topo, boom); err == nil {
+		t.Fatal("Simple sink error must abort the run")
 	}
 }
 

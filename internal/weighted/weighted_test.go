@@ -6,8 +6,9 @@ import (
 
 	"multigossip/internal/core"
 	"multigossip/internal/graph"
-	"multigossip/internal/online"
+	"multigossip/internal/implicit"
 	"multigossip/internal/schedule"
+	"multigossip/internal/sim"
 	"multigossip/internal/spantree"
 )
 
@@ -149,8 +150,8 @@ func TestExpandedGraphShape(t *testing.T) {
 
 // TestWeightedOnlineEquivalence closes the loop on both Section 4
 // extensions at once: the expanded network's schedule can be produced by
-// the distributed (online) protocol — each virtual chain vertex running
-// its own goroutine — and its contraction matches the offline plan.
+// the distributed (online) protocol — each virtual chain vertex a state
+// machine in internal/sim — and its contraction matches the offline plan.
 func TestWeightedOnlineEquivalence(t *testing.T) {
 	g := graph.Cycle(6)
 	counts := []int{2, 1, 3, 1, 2, 1}
@@ -163,8 +164,14 @@ func TestWeightedOnlineEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := spantree.Label(tr)
-	got, err := online.Run(l, online.NewConcurrentUpDown(l), 0)
-	if err != nil {
+	got := schedule.New(l.N())
+	sink := func(round int, txs []schedule.Transmission) error {
+		for _, tx := range txs {
+			got.AddSend(round, tx.Msg, tx.From, tx.To...)
+		}
+		return nil
+	}
+	if _, err := sim.Run(implicit.New(l).Topo(), sim.Options{Sink: sink}); err != nil {
 		t.Fatal(err)
 	}
 	want := core.BuildConcurrentUpDown(l)

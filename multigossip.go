@@ -21,14 +21,15 @@
 //
 // Secondary entry points cover the paper's baselines (algorithm Simple,
 // broadcast), the weighted extension (Network.PlanWeightedGossip), and a
-// distributed executor (Plan.ExecuteDistributed) that replays the schedule
-// with one goroutine per processor deriving its actions from local data
-// only.
+// distributed executor (Plan.ExecuteDistributed) that runs the protocol
+// with every processor deriving its actions from local data only.
 package multigossip
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -39,10 +40,10 @@ import (
 	"multigossip/internal/core"
 	"multigossip/internal/graph"
 	"multigossip/internal/implicit"
-	"multigossip/internal/online"
 	"multigossip/internal/pipelined"
 	"multigossip/internal/schedule"
 	"multigossip/internal/search"
+	"multigossip/internal/sim"
 	"multigossip/internal/spantree"
 	"multigossip/internal/trace"
 	"multigossip/internal/weighted"
@@ -397,14 +398,14 @@ type Transmission struct {
 // ConcurrentUpDown plans are implicit-backed: the Plan holds only the O(n)
 // compact form (DFS preorder intervals, levels, lip bits and the tree
 // structure) and answers Rounds, Round, RoundAppend and TimetableOf by
-// evaluating the paper's closed-form send/receive rules on demand. Verify,
-// ExecuteWithFaults and ExecuteTraced replay every delivery in one pass
-// through an implicit.Cursor. The Θ(n²) materialised schedule is built
-// lazily — once, on first use — and only by the operations that need the
-// whole schedule at once (Stats, MarshalJSON, the analysis helpers).
-// Every other schedulable planner (Simple, Pipelined, Weighted, Beep) has
-// no closed form and builds its schedule eagerly. Either way the Plan is
-// immutable to callers and safe to share between goroutines; lazy state is
+// evaluating the paper's closed-form send/receive rules on demand. Every
+// whole-schedule read (Verify, ExecuteWithFaults, ExecuteTraced,
+// ExecuteDistributed, Stats, MarshalJSON and the analysis helpers) streams
+// the rounds through a fresh implicit.Cursor, or collects a throwaway copy
+// it does not keep, so the plan never holds the Θ(n²) schedule. Every other
+// schedulable planner (Simple, Pipelined, Weighted, Beep) has no closed
+// form and builds its schedule eagerly. Either way the Plan is immutable
+// to callers and safe to share between goroutines; the lazy tree views are
 // built under sync.Once.
 type Plan struct {
 	network *graph.Graph
@@ -423,10 +424,10 @@ type Plan struct {
 	tree     *spantree.Tree    // spanning tree in original vertex ids
 	labeled  *spantree.Labeled // DFS labelling of tree
 
-	// Lazily materialised schedule (eager for every non-implicit
-	// schedulable algorithm; nil forever for Algebraic).
-	lazySched sync.Once
-	sched     *schedule.Schedule // full schedule in original vertex ids
+	// sched is the full schedule in original vertex ids, built eagerly by
+	// every schedulable algorithm but ConcurrentUpDown; nil for
+	// ConcurrentUpDown and Algebraic plans.
+	sched *schedule.Schedule
 
 	// alg is the realized randomized execution; non-nil exactly for
 	// Algebraic plans, whose coded packets no Transmission can express.
@@ -573,30 +574,14 @@ func (p *Plan) errNoSchedule() error {
 	return fmt.Errorf("multigossip: %v plans exchange coded packets and carry no transmission schedule", p.algo)
 }
 
-// schedule returns the fully materialised schedule in original vertex ids,
-// building it from the compact form on first use. Callers served by the
-// closed forms (Round, RoundAppend, TimetableOf, Rounds) or by one in-order
-// pass (source) never call this; callers that need the whole schedule at
-// once must hold Schedulable().
-func (p *Plan) schedule() *schedule.Schedule {
-	p.lazySched.Do(func() {
-		if p.sched != nil {
-			return // eagerly materialised (Simple, Pipelined, Weighted, Beep)
-		}
-		_, l := p.treeLabeled()
-		p.sched = core.RemapToOriginal(core.BuildConcurrentUpDown(l), l)
-	})
-	return p.sched
-}
-
-// source returns the plan's rounds for one in-order pass without
-// materialising a ConcurrentUpDown plan: a fresh cursor over the compact
-// form, or the eager schedule. Callers must hold Schedulable().
+// source returns the plan's rounds for in-order passes: a fresh cursor
+// over a ConcurrentUpDown plan's compact form, or the eager schedule.
+// Callers must hold Schedulable().
 func (p *Plan) source() schedule.Source {
 	if p.imp != nil {
 		return p.imp.Cursor()
 	}
-	return p.schedule()
+	return p.sched
 }
 
 // startHolds returns the hold sets a replay of the plan starts from and the
@@ -766,48 +751,83 @@ func (p *Plan) TreeString() string {
 }
 
 // Stats summarises the plan: rounds, transmissions, deliveries, fanout and
-// slot utilisation. It walks every delivery and therefore materialises the
-// full schedule. Algebraic plans summarise their realized seeded run
-// instead.
+// slot utilisation. It walks every delivery once in round order; a
+// ConcurrentUpDown plan streams its rounds and is never materialised.
+// Algebraic plans summarise their realized seeded run instead.
 func (p *Plan) Stats() string {
 	if p.alg != nil {
 		return fmt.Sprintf("rounds=%d deliveries=%d innovative=%d collisions=%d lost=%d (seed %d)",
 			p.alg.Rounds, p.alg.Deliveries, p.alg.Innovative, p.alg.Collisions, p.alg.Lost, p.seed)
 	}
-	return schedule.Measure(p.schedule()).String()
+	return schedule.Measure(p.source()).String()
 }
 
-// ExecuteDistributed replays the plan with one goroutine per processor,
-// each deriving its transmissions purely from its local tuple
-// (i, j, k, w, n) and tree neighbourhood — the paper's online adaptation.
-// It returns the number of rounds the distributed run took and an error if
-// the run violates the model or deviates from the offline schedule.
+// ExecuteDistributed runs the plan's algorithm as the paper's online
+// protocol (Section 4): every processor derives its transmissions from its
+// local tuple (i, j, k, w, n) and the messages it actually receives, on
+// internal/sim's state machines. Each round the run produces must equal the
+// plan's own round, so a plan that differs from its algorithm fails. It
+// returns the round at which the run completed, which equals Rounds().
 // Only ConcurrentUpDown and Simple plans are supported.
 func (p *Plan) ExecuteDistributed() (int, error) {
-	if p.algo != ConcurrentUpDown && p.algo != Simple {
-		return 0, fmt.Errorf("multigossip: no distributed protocol for algorithm %v", p.algo)
-	}
-	_, l := p.treeLabeled()
-	var protos []online.Protocol
-	var want *schedule.Schedule
+	var topo implicit.Topo
 	switch p.algo {
 	case ConcurrentUpDown:
-		protos = online.NewConcurrentUpDown(l)
-		want = core.BuildConcurrentUpDown(l)
+		topo = p.imp.Topo()
 	case Simple:
-		protos = online.NewSimple(l)
-		want = core.BuildSimple(l)
+		_, l := p.treeLabeled()
+		topo = implicit.New(l).Topo()
+	default:
+		return 0, fmt.Errorf("multigossip: no distributed protocol for algorithm %v", p.algo)
 	}
-	got, err := online.Run(l, protos, 0)
+	// The engine reports rounds in canonical labels. Each must equal the
+	// plan's round, and the rounds it skips as idle must be empty there.
+	src, next := p.source(), 0
+	var want, got []schedule.Transmission
+	var tos []int
+	byFrom := func(a, b schedule.Transmission) int { return cmp.Or(a.From-b.From, a.Msg-b.Msg) }
+	check := func(t int, txs []schedule.Transmission) error {
+		for ; next < t; next++ {
+			if want = src.RoundAppend(next, want[:0]); len(want) > 0 {
+				return fmt.Errorf("multigossip: distributed execution idled in round %d, which the plan fills", next)
+			}
+		}
+		next = t + 1
+		want, got, tos = src.RoundAppend(t, want[:0]), got[:0], tos[:0]
+		for _, tx := range txs {
+			from := len(tos)
+			for _, d := range tx.To {
+				tos = append(tos, int(topo.VertexOf[d]))
+			}
+			slices.Sort(tos[from:])
+			got = append(got, schedule.Transmission{Msg: int(topo.VertexOf[tx.Msg]), From: int(topo.VertexOf[tx.From]), To: tos[from:len(tos):len(tos)]})
+		}
+		slices.SortFunc(want, byFrom)
+		slices.SortFunc(got, byFrom)
+		if !slices.EqualFunc(want, got, func(a, b schedule.Transmission) bool {
+			return byFrom(a, b) == 0 && slices.Equal(a.To, b.To)
+		}) {
+			return fmt.Errorf("multigossip: distributed execution deviated from the plan in round %d", t)
+		}
+		return nil
+	}
+	var res sim.Result
+	var err error
+	if p.algo == Simple {
+		res, err = sim.RunSimple(topo, check)
+	} else {
+		res, err = sim.Run(topo, sim.Options{Sink: check})
+	}
+	if err == nil {
+		err = check(p.Rounds(), nil) // the plan has nothing after the run
+	}
 	if err != nil {
 		return 0, err
 	}
-	got.Normalize()
-	want.Normalize()
-	if !got.Equal(want) {
-		return 0, fmt.Errorf("multigossip: distributed execution deviated from the offline schedule")
+	if res.CompleteAt != p.Rounds() {
+		return 0, fmt.Errorf("multigossip: distributed execution completed at %d, the plan at %d", res.CompleteAt, p.Rounds())
 	}
-	return got.Time(), nil
+	return res.CompleteAt, nil
 }
 
 // PlanBroadcast constructs the Section 2 broadcast schedule: src's message

@@ -120,6 +120,50 @@ func TestExecuteDistributed(t *testing.T) {
 	}
 }
 
+// TestExecuteDistributedTopologies runs both online protocols on a ring, a
+// star and a seeded random network, and checks the other algorithms are
+// refused.
+func TestExecuteDistributedTopologies(t *testing.T) {
+	for name, nw := range map[string]*Network{
+		"ring":   Ring(11),
+		"star":   Star(9),
+		"random": RandomNetwork(rand.New(rand.NewSource(4)), 30, 0.12),
+	} {
+		for _, algo := range []Algorithm{ConcurrentUpDown, Simple} {
+			plan, err := nw.PlanGossip(WithAlgorithm(algo))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rounds, err := plan.ExecuteDistributed()
+			if err != nil || rounds != plan.Rounds() {
+				t.Fatalf("%s/%v: %d rounds (plan %d), err %v", name, algo, rounds, plan.Rounds(), err)
+			}
+		}
+	}
+	plan, err := Ring(6).PlanGossip(WithAlgorithm(Pipelined))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.ExecuteDistributed(); err == nil || !strings.Contains(err.Error(), "no distributed protocol") {
+		t.Fatalf("Pipelined plan: want the no-protocol error, got %v", err)
+	}
+}
+
+// TestExecuteDistributedRejectsTamperedPlan swaps the message of one
+// transmission in a Simple plan: the distributed run must notice that the
+// plan it was called on is not the one its algorithm produces.
+func TestExecuteDistributedRejectsTamperedPlan(t *testing.T) {
+	plan, err := Mesh(3, 3).PlanGossip(WithAlgorithm(Simple))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := &plan.sched.Rounds[4][0]
+	tx.Msg = (tx.Msg + 1) % plan.network.N()
+	if _, err := plan.ExecuteDistributed(); err == nil || !strings.Contains(err.Error(), "deviated from the plan in round 4") {
+		t.Fatalf("tampered plan: want a round-4 deviation, got %v", err)
+	}
+}
+
 func TestPlanBroadcast(t *testing.T) {
 	nw := SensorField(rand.New(rand.NewSource(8)), 50, 0.2)
 	bp, err := nw.PlanBroadcast(7)

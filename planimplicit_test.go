@@ -84,9 +84,10 @@ func TestImplicitPlanMatchesMaterialised(t *testing.T) {
 // TestPlanLazyMaterialisationStateMachine pins the state transitions: an
 // implicit-backed plan starts with no tree, labelling or schedule; tree
 // views build on TreeString; the replays (Verify, ExecuteWithFaults,
-// ExecuteTraced) stream through a cursor and never materialise; the
-// schedule builds only on Stats (or another whole-schedule operation);
-// Simple plans are eager throughout.
+// ExecuteTraced) stream through a cursor and never materialise; neither do
+// the whole-schedule reads (Stats, JSON export and the analyses), which
+// stream too or collect a copy they do not keep; Simple plans are eager
+// throughout.
 func TestPlanLazyMaterialisationStateMachine(t *testing.T) {
 	nw := Ring(24)
 	plan, err := nw.PlanGossip()
@@ -123,11 +124,23 @@ func TestPlanLazyMaterialisationStateMachine(t *testing.T) {
 		t.Fatal("a streamed replay materialised the schedule")
 	}
 	_ = plan.Stats()
-	if plan.sched == nil {
-		t.Fatal("Stats did not materialise the schedule")
+	if _, err := plan.ScheduleJSON(); err != nil {
+		t.Fatal(err)
 	}
-	if got, want := plan.sched.Time(), plan.imp.Rounds(); got != want {
-		t.Fatalf("materialised time %d != implicit rounds %d", got, want)
+	if _, err := plan.EstimateMakespan(1, 0.5, 0.1, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.CoverageUnderLoss(0.05, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := plan.Criticality(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.MinRepeatPeriod(); err != nil {
+		t.Fatal(err)
+	}
+	if plan.sched != nil {
+		t.Fatal("a whole-schedule read kept a materialised schedule")
 	}
 
 	simple, err := nw.PlanGossip(WithAlgorithm(Simple))
@@ -146,7 +159,8 @@ func TestPlanLazyMaterialisationStateMachine(t *testing.T) {
 // to a schedule, for comparing against the implicit footprint.
 func materialisedFootprint(p *Plan) int64 {
 	const word = 8
-	s := p.schedule()
+	_, l := p.treeLabeled()
+	s := core.RemapToOriginal(core.BuildConcurrentUpDown(l), l)
 	b := int64(len(s.Rounds)) * 3 * word
 	for _, r := range s.Rounds {
 		b += int64(len(r)) * 5 * word
@@ -186,10 +200,10 @@ func TestPlanSizeBytesRegression(t *testing.T) {
 		t.Fatalf("materialised/implicit = %dx, want >= 100x (implicit %d, materialised %d)",
 			ratio, implicitBytes, matBytes)
 	}
-	// SizeBytes reports the insert-time footprint: still the compact size
-	// even after lazy materialisation (the documented accounting caveat).
+	// Whole-schedule reads keep nothing, so SizeBytes stays the compact size.
+	_ = plan.Stats()
 	if got := plan.SizeBytes(); got != implicitBytes {
-		t.Fatalf("SizeBytes changed after materialisation: %d -> %d", implicitBytes, got)
+		t.Fatalf("SizeBytes changed after Stats: %d -> %d", implicitBytes, got)
 	}
 }
 

@@ -94,11 +94,12 @@ func WithSimMaxRounds(m int) SimOption { return func(c *simConfig) { c.o.MaxRoun
 // Simulate executes the plan's gossip protocol as a distributed
 // simulation: every processor is a compact state machine acting only on
 // its local labels and incoming messages. It requires a ConcurrentUpDown
-// plan (Simple has no per-node closed-form program). The synchronous
-// engine's transmissions are identical to Plan.Round's schedule; the
-// asynchronous engine delivers the same message multiset under per-link
-// latencies. Safe for concurrent use on one Plan as long as any observer
-// is.
+// plan: the sharded, async and observed modes exist only for that
+// protocol (ExecuteDistributed also runs Simple's local rules). The
+// synchronous engine's transmissions are identical to Plan.Round's
+// schedule; the asynchronous engine delivers the same message multiset
+// under per-link latencies. Safe for concurrent use on one Plan as long as
+// any observer is.
 func (p *Plan) Simulate(opts ...SimOption) (SimReport, error) {
 	if p.imp == nil {
 		return SimReport{}, fmt.Errorf("multigossip: Simulate requires a ConcurrentUpDown plan, not %v", p.algo)
