@@ -214,37 +214,36 @@ func (pc *PlanCache) Stats() CacheStats { return pc.c.Stats() }
 
 // SizeBytes reports the plan's resident size — the plancache.Sizer
 // contract, which the cache's byte bound charges instead of a flat
-// estimate. Implicit-backed ConcurrentUpDown plans cost their packed O(n)
-// arrays plus the graph snapshot: kilobytes where the materialised form
-// costs megabytes, which is what lets one cache hold thousands of
-// topologies. Eager plans (every schedulable planner other than
-// ConcurrentUpDown) cost the full schedule — one Transmission header plus
-// the To slice per multicast — plus the tree, labels, message owners and
-// snapshot.
+// estimate. Every plan costs its graph snapshot; a tree-based plan adds
+// its packed O(n) tree, and a plan with an eager schedule (Simple,
+// Pipelined, Beep, weighted plans with owners) adds that schedule — one
+// Transmission header plus the To slice per multicast — and any message
+// owners. ConcurrentUpDown and Weighted plans therefore cost kilobytes where
+// the materialised form costs megabytes, which is what lets one cache hold
+// thousands of topologies.
 //
-// The size holds for the plan's whole life: an implicit-backed plan
-// streams every whole-schedule read from its compact form and keeps
-// nothing it builds along the way (only the O(n) tree views, built on
-// first use, are not charged).
+// The size holds for the plan's whole life: a plan without an eager
+// schedule streams every whole-schedule read from its packed tree and
+// keeps nothing it builds along the way (only the O(n) tree views, built
+// on first use, are not charged).
 func (p *Plan) SizeBytes() int64 {
 	const word = 8
 	b := int64(p.network.N()) * 2 * word // adjacency index of the snapshot
 	b += int64(p.network.M()) * 2 * word // adjacency lists (both directions)
-	if p.imp != nil {
-		return b + p.imp.SizeBytes()
-	}
-	if p.sched == nil {
+	if p.alg != nil {
 		return b + 8*word // Algebraic: the realized Result and seed only
 	}
-	s := p.sched
-	b += int64(len(s.Rounds)) * 3 * word // round slice headers
-	for _, r := range s.Rounds {
-		b += int64(len(r)) * 5 * word // Msg, From, To header
-		for _, tx := range r {
-			b += int64(len(tx.To)) * word
+	if p.imp != nil {
+		b += p.imp.SizeBytes()
+	}
+	if s := p.sched; s != nil {
+		b += int64(len(s.Rounds)) * 3 * word // round slice headers
+		for _, r := range s.Rounds {
+			b += int64(len(r)) * 5 * word // Msg, From, To header
+			for _, tx := range r {
+				b += int64(len(tx.To)) * word
+			}
 		}
 	}
-	b += int64(p.network.N()) * 6 * word // parents, levels, labels, ecc
-	b += int64(len(p.owners)) * word
-	return b
+	return b + int64(len(p.owners))*word
 }

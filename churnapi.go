@@ -10,8 +10,8 @@ package multigossip
 // by repair.GraftTree — sever the orphaned subtree, re-attach it through a
 // surviving crossing link, O(n + m) — and the plan is re-derived from the
 // grafted tree in O(n) more. Cold rebuilds remain only for quality (a graft
-// that degraded the tree height past the configured factor) and for plans
-// with no compact form (algorithm Simple).
+// that degraded the tree height past the configured factor) and for
+// grafts that fail.
 //
 // Patched plans are published to the PlanCache under the mutated topology's
 // fingerprint, so other cache users hit them; because the fingerprint is an
@@ -364,7 +364,9 @@ func (dp *DynamicPlanner) Apply(muts []Mutation) (PatchOutcome, []MutationResult
 		grafted = repaired
 	}
 	if graftOK {
-		candidate := planFromTree(g, grafted, dp.plan.sweep)
+		// The radius becomes the grafted height, which may exceed the
+		// topology's true radius; the quality policy below closes that gap.
+		candidate := planFrom(g, dp.plan.algo, implicit.New(spantree.Label(grafted)), dp.plan.sweep)
 		if err := dp.validate(candidate); err == nil {
 			if grafted.Height <= dp.maxHeight() {
 				dp.plan = candidate
@@ -396,13 +398,7 @@ func (dp *DynamicPlanner) reuse() (PatchOutcome, error) {
 	// (an add removes nothing; a non-tree removal leaves the tree whole),
 	// so the rebound plan's tree is a subgraph of the new topology by
 	// construction.
-	dp.plan = &Plan{
-		network: dp.nw.snapshotGraph(),
-		algo:    dp.plan.algo,
-		radius:  dp.plan.radius,
-		sweep:   dp.plan.sweep,
-		imp:     dp.plan.imp,
-	}
+	dp.plan = planFrom(dp.nw.snapshotGraph(), dp.plan.algo, dp.plan.imp, dp.plan.sweep)
 	dp.publish()
 	dp.reused.Inc()
 	return PatchReused, nil
@@ -427,21 +423,6 @@ func (dp *DynamicPlanner) validate(p *Plan) error {
 		return p.Verify()
 	}
 	return nil
-}
-
-// planFromTree derives a fresh implicit-backed plan from a repaired
-// spanning tree: O(n) label and packing work, no sweep. The radius field
-// records the tree height actually used, which after a graft may exceed
-// the topology's true radius — the planner's quality policy, not the
-// plan, is responsible for closing that gap.
-func planFromTree(g *graph.Graph, tree *spantree.Tree, sweep graph.SweepStats) *Plan {
-	return &Plan{
-		network: g,
-		algo:    ConcurrentUpDown,
-		radius:  tree.Height,
-		sweep:   sweep,
-		imp:     implicit.New(spantree.Label(tree)),
-	}
 }
 
 // cachedForCurrent looks the current topology fingerprint up in the

@@ -257,10 +257,13 @@ func runStoreBench(cfg storeBenchConfig) error {
 
 // benchKeys is the deterministic working set: distinct random topologies
 // (one per seed) that fingerprint identically across phases and replicas.
+// The algorithm cycles through every planner the store persists, so the
+// zero-rebuild warm start covers all of them.
 func benchKeys(count, n int) []map[string]any {
+	algos := []string{"cud", "simple", "pipelined", "weighted"}
 	keys := make([]map[string]any, count)
 	for i := range keys {
-		keys[i] = map[string]any{"topology": "random", "n": n, "p": 0.01, "seed": 20_000 + i}
+		keys[i] = map[string]any{"topology": "random", "n": n, "p": 0.01, "seed": 20_000 + i, "algorithm": algos[i%len(algos)]}
 	}
 	return keys
 }

@@ -36,7 +36,9 @@ const (
 	// seeded GF(2) coded packets, expected-rounds reporting.
 	Algebraic
 	// Weighted is the paper's Section 4 weighted gossiping via virtual
-	// vertex chains, run with unit counts when selected as a plain planner.
+	// vertex chains, run with unit counts when selected as a plain planner:
+	// the expansion is then the network itself, so the plan is
+	// ConcurrentUpDown's.
 	Weighted
 	// Beep is the collision-constrained variant (Hounkanli & Pelc; Wu &
 	// Chrobak): a transmission reaches every neighbour and a processor
@@ -78,10 +80,11 @@ type Info struct {
 	// injected faults. Implies Schedulable.
 	FaultExecutable bool
 	// TreeBased: the plan communicates over the minimum-depth spanning
-	// tree of Section 3.1.
+	// tree of Section 3.1, is a deterministic function of that tree, and
+	// is servable by the disk store, which persists the packed tree.
 	TreeBased bool
-	// ImplicitBacked: plans evaluate from the O(n) closed form and are
-	// servable by the disk store's implicit codec.
+	// ImplicitBacked: rounds evaluate from the O(n) closed form; the plan
+	// never holds its Θ(n²) schedule.
 	ImplicitBacked bool
 	// ExactBound: Bound is the exact total time, not just an upper bound.
 	ExactBound bool
@@ -166,7 +169,7 @@ var registry = [numAlgorithms]Info{
 		Aliases:       []string{"weightedgossip"},
 		Summary:       "Section 4 weighted gossiping via virtual-vertex chains (unit counts as a planner)",
 		Deterministic: true, Schedulable: true, FaultExecutable: true,
-		TreeBased: true, ExactBound: true,
+		TreeBased: true, ImplicitBacked: true, ExactBound: true,
 		// Theorem 1 on the chain expansion: N total messages + expanded
 		// radius; with unit counts this collapses to n + r.
 		Bound: func(p BoundParams) int {

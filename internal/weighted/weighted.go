@@ -14,7 +14,6 @@ import (
 	"multigossip/internal/core"
 	"multigossip/internal/graph"
 	"multigossip/internal/schedule"
-	"multigossip/internal/spantree"
 )
 
 // Plan is the outcome of weighted gossiping on a network.
@@ -34,13 +33,9 @@ type Plan struct {
 	// ExpandedRadius is the radius of the expanded network; the expanded
 	// schedule has total time TotalMessages + ExpandedRadius.
 	ExpandedRadius int
-	// Tree and Labeled are the expanded network's minimum-depth spanning
-	// tree and its DFS labelling (identical to the original network's when
-	// every count is 1; chain vertices appear beyond the real ids
-	// otherwise). Sweep records the root-sweep work of that construction.
-	Tree    *spantree.Tree
-	Labeled *spantree.Labeled
-	Sweep   graph.SweepStats
+	// Sweep records the root-sweep work of the expanded network's
+	// minimum-depth spanning tree.
+	Sweep graph.SweepStats
 }
 
 // InitialHolds returns the hold sets of the contracted instance: processor
@@ -140,8 +135,6 @@ func Gossip(g *graph.Graph, counts []int) (*Plan, error) {
 		MsgOwner:       owner,
 		TotalMessages:  total,
 		ExpandedRadius: res.Radius,
-		Tree:           res.Tree,
-		Labeled:        res.Labeled,
 		Sweep:          res.Sweep,
 	}, nil
 }

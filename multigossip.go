@@ -395,38 +395,36 @@ type Transmission struct {
 
 // Plan is a complete gossip communication schedule for a network.
 //
-// ConcurrentUpDown plans are implicit-backed: the Plan holds only the O(n)
-// compact form (DFS preorder intervals, levels, lip bits and the tree
-// structure) and answers Rounds, Round, RoundAppend and TimetableOf by
-// evaluating the paper's closed-form send/receive rules on demand. Every
-// whole-schedule read (Verify, ExecuteWithFaults, ExecuteTraced,
-// ExecuteDistributed, Stats, MarshalJSON and the analysis helpers) streams
-// the rounds through a fresh implicit.Cursor, or collects a throwaway copy
-// it does not keep, so the plan never holds the Θ(n²) schedule. Every other
-// schedulable planner (Simple, Pipelined, Weighted, Beep) has no closed
-// form and builds its schedule eagerly. Either way the Plan is immutable
-// to callers and safe to share between goroutines; the lazy tree views are
-// built under sync.Once.
+// Every tree-based plan is built by planFrom around one packed tree, the
+// O(n) implicit form the disk store also persists. ConcurrentUpDown and
+// Weighted plans hold nothing else: Rounds, Round, RoundAppend and
+// TimetableOf evaluate the paper's closed-form rules on demand, and every
+// whole-schedule read (Verify, the Execute methods, Stats, MarshalJSON and
+// the analyses) streams the rounds through a fresh implicit.Cursor or
+// collects a copy it does not keep, so such a plan never holds the Θ(n²)
+// schedule. Simple, Pipelined, Beep and owner-carrying weighted plans keep
+// an eager schedule. Either way the Plan is immutable to callers and safe
+// to share between goroutines; the lazy tree views are built under
+// sync.Once.
 type Plan struct {
 	network *graph.Graph
 	algo    Algorithm
 	radius  int
 	sweep   graph.SweepStats
 
-	// imp is the compact closed-form plan; non-nil exactly for
-	// ConcurrentUpDown plans.
+	// imp is the packed spanning tree; non-nil exactly for plans built by
+	// planFrom, and the only schedule state of ConcurrentUpDown and
+	// Weighted plans.
 	imp *implicit.Plan
 
-	// Lazily reconstructed tree views (eager for the other tree-based
-	// algorithms; nil forever for Beep and Algebraic, which communicate
-	// over the raw network).
+	// Tree views reconstructed from imp on first use; nil forever for
+	// plans without a tree.
 	lazyTree sync.Once
 	tree     *spantree.Tree    // spanning tree in original vertex ids
 	labeled  *spantree.Labeled // DFS labelling of tree
 
 	// sched is the full schedule in original vertex ids, built eagerly by
-	// every schedulable algorithm but ConcurrentUpDown; nil for
-	// ConcurrentUpDown and Algebraic plans.
+	// planners without a closed form; when set, it answers every round read.
 	sched *schedule.Schedule
 
 	// alg is the realized randomized execution; non-nil exactly for
@@ -436,7 +434,7 @@ type Plan struct {
 
 	// owners maps each message to the processor it starts at; nil means
 	// processor v starts with message v. Only weighted plans with some
-	// count above 1 carry owners (see planWeighted).
+	// count above 1 carry owners (see PlanWeightedGossip).
 	owners []int
 }
 
@@ -480,50 +478,10 @@ func planGossip(g *graph.Graph, cfg planConfig) (*Plan, error) {
 // of each registry entry; the portfolio test asserts it covers the
 // registry exactly.
 var planBuilders = map[Algorithm]func(*graph.Graph, planConfig) (*Plan, error){
-	ConcurrentUpDown: func(g *graph.Graph, cfg planConfig) (*Plan, error) {
-		imp, sweep, err := core.GossipImplicit(g)
-		if err != nil {
-			return nil, err
-		}
-		return &Plan{network: g, algo: cfg.algo, radius: imp.Height(), sweep: sweep, imp: imp}, nil
-	},
-	Simple: func(g *graph.Graph, cfg planConfig) (*Plan, error) {
-		res, err := core.Gossip(g, core.Simple)
-		if err != nil {
-			return nil, err
-		}
-		return &Plan{
-			network: g, algo: cfg.algo, radius: res.Radius, sweep: res.Sweep,
-			tree: res.Tree, labeled: res.Labeled, sched: res.Schedule,
-		}, nil
-	},
-	Pipelined: func(g *graph.Graph, cfg planConfig) (*Plan, error) {
-		tree, sweep, err := spantree.MinDepthWithStats(g)
-		if err != nil {
-			return nil, err
-		}
-		l := spantree.Label(tree)
-		return &Plan{
-			network: g, algo: cfg.algo, radius: tree.Height, sweep: sweep,
-			tree: tree, labeled: l,
-			sched: core.RemapToOriginal(pipelined.Build(l), l),
-		}, nil
-	},
-	Weighted: func(g *graph.Graph, cfg planConfig) (*Plan, error) {
-		// Unit counts: the chain expansion is the network itself, so its
-		// tree views are the network's and the contracted schedule meets
-		// Theorem 1's N + R exactly.
-		counts := make([]int, g.N())
-		for i := range counts {
-			counts[i] = 1
-		}
-		p, wp, err := planWeighted(g, counts)
-		if err != nil {
-			return nil, err
-		}
-		p.tree, p.labeled = wp.Tree, wp.Labeled
-		return p, nil
-	},
+	ConcurrentUpDown: treePlanner,
+	Simple:           treePlanner,
+	Pipelined:        treePlanner,
+	Weighted:         treePlanner,
 	Beep: func(g *graph.Graph, cfg planConfig) (*Plan, error) {
 		s, err := beep.Gossip(g, 0)
 		if err != nil {
@@ -544,18 +502,46 @@ var planBuilders = map[Algorithm]func(*graph.Graph, planConfig) (*Plan, error){
 	},
 }
 
+// treePlanner builds every tree-based registry entry: the §3.1 sweep and
+// DFS labelling packed into an implicit plan, then planFrom.
+func treePlanner(g *graph.Graph, cfg planConfig) (*Plan, error) {
+	imp, sweep, err := core.GossipImplicit(g)
+	if err != nil {
+		return nil, err
+	}
+	return planFrom(g, cfg.algo, imp, sweep), nil
+}
+
+// planFrom is the one constructor of tree-based plans, shared by the
+// planners, the disk store and the churn layer. The packed tree is the
+// whole plan (unit-count Weighted gossip is ConcurrentUpDown), except that
+// Simple and Pipelined also derive an eager schedule from it.
+func planFrom(g *graph.Graph, a Algorithm, imp *implicit.Plan, sweep graph.SweepStats) *Plan {
+	p := &Plan{network: g, algo: a, radius: imp.Height(), sweep: sweep, imp: imp}
+	if build, ok := eagerBuilders[a]; ok {
+		l := imp.Labeled()
+		p.sched = core.RemapToOriginal(build(l), l)
+	}
+	return p
+}
+
+// eagerBuilders maps each tree-based algorithm without a closed form to
+// its canonical-label schedule builder.
+var eagerBuilders = map[Algorithm]func(*spantree.Labeled) *schedule.Schedule{
+	Simple:    core.BuildSimple,
+	Pipelined: pipelined.Build,
+}
+
 // treeBased reports whether the plan communicates over a spanning tree;
-// Beep and Algebraic plans use the raw network and have no tree views.
-func (p *Plan) treeBased() bool { return p.imp != nil || p.tree != nil }
+// Beep and Algebraic plans use the raw network, and weighted plans built
+// by PlanWeightedGossip the chain expansion, so none of them has tree views.
+func (p *Plan) treeBased() bool { return p.imp != nil }
 
 // treeLabeled returns the plan's spanning tree (original ids) and DFS
-// labelling, reconstructing them from the compact form on first use.
+// labelling, reconstructing them from the packed tree on first use.
 // Callers must hold treeBased(); tree-less plans would dereference nil.
 func (p *Plan) treeLabeled() (*spantree.Tree, *spantree.Labeled) {
 	p.lazyTree.Do(func() {
-		if p.tree != nil {
-			return // eagerly materialised (Simple, Pipelined, Weighted)
-		}
 		p.labeled = p.imp.Labeled()
 		p.tree = p.imp.OriginalTree()
 	})
@@ -574,14 +560,14 @@ func (p *Plan) errNoSchedule() error {
 	return fmt.Errorf("multigossip: %v plans exchange coded packets and carry no transmission schedule", p.algo)
 }
 
-// source returns the plan's rounds for in-order passes: a fresh cursor
-// over a ConcurrentUpDown plan's compact form, or the eager schedule.
+// source returns the plan's rounds for in-order passes: the eager
+// schedule when the plan has one, else a fresh cursor over the packed tree.
 // Callers must hold Schedulable().
 func (p *Plan) source() schedule.Source {
-	if p.imp != nil {
-		return p.imp.Cursor()
+	if p.sched != nil {
+		return p.sched
 	}
-	return p.sched
+	return p.imp.Cursor()
 }
 
 // startHolds returns the hold sets a replay of the plan starts from and the
@@ -616,13 +602,13 @@ func WithSeed(seed int64) PlanOption { return func(c *planConfig) { c.seed = see
 // Processors() + Radius(); for Algebraic it is the realized completion
 // round of the plan's seeded run.
 func (p *Plan) Rounds() int {
-	if p.imp != nil {
+	switch {
+	case p.sched != nil:
+		return p.sched.Time()
+	case p.imp != nil:
 		return p.imp.Rounds()
 	}
-	if p.alg != nil {
-		return p.alg.Rounds
-	}
-	return p.sched.Time()
+	return p.alg.Rounds
 }
 
 // Radius returns the spanning tree height used by the plan (= network radius).
@@ -651,16 +637,18 @@ func (p *Plan) Round(t int) []Transmission {
 // dst = dst[:0] between rounds therefore reuses every allocation.
 // Out-of-range rounds append nothing.
 func (p *Plan) RoundAppend(t int, dst []Transmission) []Transmission {
+	if p.sched != nil {
+		if t >= 0 && t < len(p.sched.Rounds) {
+			for _, tx := range p.sched.Rounds[t] {
+				dst = appendTransmission(dst, tx.Msg, tx.From, tx.To)
+			}
+		}
+		return dst
+	}
 	if p.imp != nil {
 		return appendImplicitRound(p.imp, t, dst)
 	}
-	if p.sched == nil || t < 0 || t >= len(p.sched.Rounds) {
-		return dst // non-schedulable plan, or out-of-range round
-	}
-	for _, tx := range p.sched.Rounds[t] {
-		dst = appendTransmission(dst, tx.Msg, tx.From, tx.To)
-	}
-	return dst
+	return dst // non-schedulable plan
 }
 
 // appendImplicitRound evaluates round t from the closed forms into dst,
@@ -720,20 +708,23 @@ func (p *Plan) Verify() error {
 
 // TimetableOf renders processor v's schedule in the format of the paper's
 // Tables 1-4 (receive/send rows against parent and children in the
-// spanning tree). Implicit-backed plans evaluate only v's own rows from
-// the closed forms — O(rounds) work, no materialisation.
+// spanning tree). Plans without an eager schedule evaluate only v's own
+// rows from the packed tree's closed forms — O(rounds) work, no
+// materialisation. A processor outside [0, Processors()) renders a note.
 func (p *Plan) TimetableOf(v int) string {
-	if p.imp != nil {
+	n := p.network.N()
+	switch {
+	case v < 0 || v >= n:
+		return fmt.Sprintf("(no timetable: processor %d is outside [0, %d))", v, n)
+	case p.sched != nil && p.treeBased():
+		tree, _ := p.treeLabeled()
+		return trace.FormatTimetable(schedule.VertexView(p.sched, tree, v))
+	case p.sched != nil:
+		return trace.FormatTimetable(schedule.FlatView(p.sched, v))
+	case p.imp != nil:
 		return trace.FormatTimetable(p.imp.Timetable(v))
 	}
-	if p.sched == nil {
-		return fmt.Sprintf("(no timetable: %v plans carry no transmission schedule)", p.algo)
-	}
-	if !p.treeBased() {
-		return trace.FormatTimetable(schedule.FlatView(p.sched, v))
-	}
-	tree, _ := p.treeLabeled()
-	return trace.FormatTimetable(schedule.VertexView(p.sched, tree, v))
+	return fmt.Sprintf("(no timetable: %v plans carry no transmission schedule)", p.algo)
 }
 
 // TreeString renders the spanning tree the plan communicates over,
@@ -770,16 +761,10 @@ func (p *Plan) Stats() string {
 // returns the round at which the run completed, which equals Rounds().
 // Only ConcurrentUpDown and Simple plans are supported.
 func (p *Plan) ExecuteDistributed() (int, error) {
-	var topo implicit.Topo
-	switch p.algo {
-	case ConcurrentUpDown:
-		topo = p.imp.Topo()
-	case Simple:
-		_, l := p.treeLabeled()
-		topo = implicit.New(l).Topo()
-	default:
+	if p.algo != ConcurrentUpDown && p.algo != Simple {
 		return 0, fmt.Errorf("multigossip: no distributed protocol for algorithm %v", p.algo)
 	}
+	topo := p.imp.Topo()
 	// The engine reports rounds in canonical labels. Each must equal the
 	// plan's round, and the rounds it skips as idle must be empty there.
 	src, next := p.source(), 0

@@ -86,8 +86,8 @@ func TestImplicitPlanMatchesMaterialised(t *testing.T) {
 // views build on TreeString; the replays (Verify, ExecuteWithFaults,
 // ExecuteTraced) stream through a cursor and never materialise; neither do
 // the whole-schedule reads (Stats, JSON export and the analyses), which
-// stream too or collect a copy they do not keep; Simple plans are eager
-// throughout.
+// stream too or collect a copy they do not keep; Simple plans carry the
+// packed tree and an eager schedule derived from it.
 func TestPlanLazyMaterialisationStateMachine(t *testing.T) {
 	nw := Ring(24)
 	plan, err := nw.PlanGossip()
@@ -147,8 +147,8 @@ func TestPlanLazyMaterialisationStateMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if simple.imp != nil || simple.sched == nil || simple.tree == nil || simple.labeled == nil {
-		t.Fatal("Simple plan is not eagerly materialised")
+	if simple.imp == nil || simple.sched == nil {
+		t.Fatal("Simple plan does not carry its packed tree and eager schedule")
 	}
 	if err := simple.Verify(); err != nil {
 		t.Fatal(err)
@@ -295,5 +295,59 @@ func BenchmarkPlanRoundAppend(b *testing.B) {
 				buf = plan.RoundAppend(i%rounds, buf[:0])
 			}
 		})
+	}
+}
+
+// TestWeightedPlanIsConcurrentUpDown: with unit counts the chain expansion
+// is the network itself, so the registry's Weighted plan is the
+// ConcurrentUpDown plan — the same rounds, timetables and resident size.
+// The distributed executors still accept exactly the algorithms they
+// always did: Simulate runs ConcurrentUpDown only, ExecuteDistributed
+// ConcurrentUpDown and Simple.
+func TestWeightedPlanIsConcurrentUpDown(t *testing.T) {
+	nets := namedTopologies()
+	nets["ring256"] = Ring(256)
+	for name, nw := range nets {
+		cud, err := nw.PlanGossip()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := nw.PlanGossip(WithAlgorithm(Weighted))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Rounds() != cud.Rounds() || w.Radius() != cud.Radius() {
+			t.Fatalf("%s: Weighted %d rounds (radius %d), ConcurrentUpDown %d (radius %d)",
+				name, w.Rounds(), w.Radius(), cud.Rounds(), cud.Radius())
+		}
+		for r := 0; r < cud.Rounds(); r++ {
+			if !reflect.DeepEqual(w.Round(r), cud.Round(r)) {
+				t.Fatalf("%s: round %d differs", name, r)
+			}
+		}
+		for v := 0; v < nw.Processors(); v++ {
+			if w.TimetableOf(v) != cud.TimetableOf(v) {
+				t.Fatalf("%s: timetable of %d differs", name, v)
+			}
+		}
+		if w.SizeBytes() != cud.SizeBytes() {
+			t.Fatalf("%s: Weighted plan costs %d B, ConcurrentUpDown %d B", name, w.SizeBytes(), cud.SizeBytes())
+		}
+	}
+
+	nw := Mesh(3, 4)
+	for _, info := range Algorithms() {
+		p, err := nw.PlanGossip(WithAlgorithm(info.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, simErr := p.Simulate()
+		if wantOK := info.ID == ConcurrentUpDown; (simErr == nil) != wantOK {
+			t.Errorf("%v: Simulate err = %v, want accepted %v", info.ID, simErr, wantOK)
+		}
+		_, distErr := p.ExecuteDistributed()
+		if wantOK := info.ID == ConcurrentUpDown || info.ID == Simple; (distErr == nil) != wantOK {
+			t.Errorf("%v: ExecuteDistributed err = %v, want accepted %v", info.ID, distErr, wantOK)
+		}
 	}
 }

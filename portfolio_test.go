@@ -1,6 +1,7 @@
 package multigossip
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -94,7 +95,8 @@ func TestParseAlgorithm(t *testing.T) {
 // TestPortfolioPlansVerify plans every registered algorithm on several
 // topologies, re-verifies each plan under the model and holds it to the
 // registry's rounds bound — the library-level version of the scenario
-// matrix's per-cell assertion.
+// matrix's per-cell assertion. Every plan must also answer an
+// out-of-range TimetableOf with a note.
 func TestPortfolioPlansVerify(t *testing.T) {
 	nets := map[string]*Network{
 		"ring13":  Ring(13),
@@ -126,6 +128,14 @@ func TestPortfolioPlansVerify(t *testing.T) {
 				}
 				if plan.Schedulable() != info.Schedulable {
 					t.Fatalf("Schedulable() = %t, registry says %t", plan.Schedulable(), info.Schedulable)
+				}
+				// A processor outside [0, n) gets one note from every plan,
+				// never a panic or an empty table.
+				for _, v := range []int{-1, n, 99} {
+					want := fmt.Sprintf("(no timetable: processor %d is outside [0, %d))", v, n)
+					if got := plan.TimetableOf(v); got != want {
+						t.Fatalf("TimetableOf(%d) = %q, want %q", v, got, want)
+					}
 				}
 			})
 		}

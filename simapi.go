@@ -101,7 +101,7 @@ func WithSimMaxRounds(m int) SimOption { return func(c *simConfig) { c.o.MaxRoun
 // under per-link latencies. Safe for concurrent use on one Plan as long as
 // any observer is.
 func (p *Plan) Simulate(opts ...SimOption) (SimReport, error) {
-	if p.imp == nil {
+	if p.algo != ConcurrentUpDown {
 		return SimReport{}, fmt.Errorf("multigossip: Simulate requires a ConcurrentUpDown plan, not %v", p.algo)
 	}
 	var cfg simConfig

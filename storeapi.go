@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"multigossip/internal/algo"
 	"multigossip/internal/graph"
 	"multigossip/internal/implicit"
 	"multigossip/internal/plancache"
@@ -18,10 +19,12 @@ import (
 // consults the store inside each miss's singleflight and writes built plans
 // through.
 //
-// Only ConcurrentUpDown plans persist: their implicit O(n) form encodes in
-// ~8 bytes per vertex plus the topology, while a materialised Simple
-// schedule would cost O(n²) on disk for a plan the paper treats as a
-// baseline. A Simple plan simply never writes, and its misses rebuild.
+// Every tree-based plan (ConcurrentUpDown, Simple, Pipelined, Weighted)
+// persists as its packed tree: ~8 bytes per vertex plus the topology. Each
+// of those plans is a deterministic function of the tree, so loading
+// rebuilds it through planFrom, the constructor the planners use. Beep and
+// Algebraic plans have no tree; they stay in the memory tier only, never
+// write, and their misses rebuild.
 
 // StoreStats is a point-in-time snapshot of a PlanStore's counters.
 type StoreStats = planstore.Stats
@@ -52,12 +55,14 @@ func WithStoreLogger(logf func(format string, args ...any)) StoreOption {
 }
 
 // PlanStore is a disk-backed, content-addressed store of gossip plans keyed
-// by (network fingerprint, algorithm). Entries are written crash-safely
-// (temp file, fsync, atomic rename) and checksummed; a corrupt entry is
-// quarantined and rebuilt, never served. A store whose directory stops
-// accepting writes degrades to read-only and the serving stack continues
-// from memory — opening a store can therefore never make a server less
-// available than it was without one.
+// by (network fingerprint, algorithm). It holds the plans of every
+// TreeBased algorithm, each as its packed tree; Beep and Algebraic plans
+// are never written and live in the memory tier only. Entries are written
+// crash-safely (temp file, fsync, atomic rename) and checksummed; a
+// corrupt entry is quarantined and rebuilt, never served. A store whose
+// directory stops accepting writes degrades to read-only and the serving
+// stack continues from memory — opening a store can therefore never make a
+// server less available than it was without one.
 //
 // Safe for concurrent use, including by multiple processes sharing one
 // directory: equal keys hold equal bytes, so concurrent writers are
@@ -109,9 +114,9 @@ func (ps *PlanStore) Load(key plancache.Key) (*Plan, int64, bool) {
 }
 
 // Store implements plancache.Tier2: it persists a freshly built plan.
-// Simple (materialised) plans and write failures are both silently skipped;
-// the store's own metrics record the latter, and a degraded store makes
-// this a cheap no-op.
+// Plans without a packed tree (Beep, Algebraic) and write failures are both
+// silently skipped; the store's own metrics record the latter, and a
+// degraded store makes this a cheap no-op.
 func (ps *PlanStore) Store(key plancache.Key, p *Plan) {
 	if p.imp == nil {
 		return
@@ -119,9 +124,10 @@ func (ps *PlanStore) Store(key plancache.Key, p *Plan) {
 	ps.s.Save(key.Fingerprint, key.Algo, encodePlanBytes(p))
 }
 
-// encodePlanBytes serialises a ConcurrentUpDown plan: the topology snapshot
+// encodePlanBytes serialises a tree-based plan: the topology snapshot
 // (vertex count, edge count, then each edge as two uint32s in canonical
-// (u<v, sorted) order) followed by the implicit plan's wire form. The
+// (u<v, sorted) order) followed by the packed tree's wire form. The
+// algorithm is not in the payload; it is half of the entry's key. The
 // topology rides along because a Plan answers Verify, ExecuteWithFaults and
 // SizeBytes against its own graph — and because re-fingerprinting the
 // decoded topology is the store's end-to-end integrity check.
@@ -143,12 +149,14 @@ func encodePlanBytes(p *Plan) []byte {
 // must decode (implicit.Decode re-derives and checks its full structural
 // contract), and every tree edge of the plan must exist in the topology.
 // No input can make it panic; anything malformed reports errPlanBytes.
+// The plan is then rebuilt for algorithm a by planFrom, which a must be
+// TreeBased to allow.
 //
 // The decoded plan's sweep statistics are zero — a plan loaded from disk
 // ran no sweep in this process.
-func decodePlanBytes(data []byte, fp uint64, algo Algorithm) (*Plan, error) {
-	if algo != ConcurrentUpDown {
-		return nil, fmt.Errorf("%w: algorithm %d has no stored form", errPlanBytes, int(algo))
+func decodePlanBytes(data []byte, fp uint64, a Algorithm) (*Plan, error) {
+	if !algo.Registered(a) || !algo.ByID(a).TreeBased {
+		return nil, fmt.Errorf("%w: algorithm %d has no stored form", errPlanBytes, int(a))
 	}
 	if len(data) < 8 {
 		return nil, fmt.Errorf("%w: %d bytes, want at least 8", errPlanBytes, len(data))
@@ -191,5 +199,5 @@ func decodePlanBytes(data []byte, fp uint64, algo Algorithm) (*Plan, error) {
 			return nil, fmt.Errorf("%w: tree edge %d-%d not in topology", errPlanBytes, v, par)
 		}
 	}
-	return &Plan{network: g, algo: algo, radius: imp.Height(), imp: imp}, nil
+	return planFrom(g, a, imp, graph.SweepStats{}), nil
 }

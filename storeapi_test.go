@@ -158,21 +158,47 @@ func TestStoreSemanticForgeryDropped(t *testing.T) {
 	}
 }
 
-// TestStoreSimplePlansNotPersisted checks the materialised baseline stays
-// memory-only: a Simple plan neither writes the store nor loads from it.
-func TestStoreSimplePlansNotPersisted(t *testing.T) {
-	dir := t.TempDir()
+// TestStoreTreePlansPersist: every TreeBased algorithm's plan writes
+// through as its packed tree, and a fresh cache over the same directory
+// serves it from disk with every round, every timetable and Verify
+// unchanged. Beep and Algebraic plans have no tree and write no entry.
+func TestStoreTreePlansPersist(t *testing.T) {
 	nw := storeRing(16)
-	store := OpenPlanStore(dir)
-	pc := NewPlanCache(WithCacheStore(store))
-	if _, err := pc.Plan(nw, WithAlgorithm(Simple)); err != nil {
-		t.Fatal(err)
-	}
-	if store.Entries() != 0 {
-		t.Fatalf("%d entries on disk after a Simple plan, want none", store.Entries())
-	}
-	if _, src, err := NewPlanCache(WithCacheStore(OpenPlanStore(dir))).PlanSourced(nw, WithAlgorithm(Simple)); err != nil || src != CacheMiss {
-		t.Fatalf("Simple replan = %v, %v; want a plain rebuild", src, err)
+	for _, info := range Algorithms() {
+		t.Run(info.Name, func(t *testing.T) {
+			dir := t.TempDir()
+			store := OpenPlanStore(dir)
+			built, err := NewPlanCache(WithCacheStore(store)).Plan(nw, WithAlgorithm(info.ID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !info.TreeBased {
+				if store.Entries() != 0 {
+					t.Fatalf("%d entries on disk after a %v plan, want none", store.Entries(), info.ID)
+				}
+				return
+			}
+			loaded, src, err := NewPlanCache(WithCacheStore(OpenPlanStore(dir))).PlanSourced(nw, WithAlgorithm(info.ID))
+			if err != nil || src != CacheDisk {
+				t.Fatalf("replan = %v, %v; want a disk hit", src, err)
+			}
+			if loaded.Algorithm() != info.ID || loaded.Rounds() != built.Rounds() {
+				t.Fatalf("loaded %v plan of %d rounds, built %v of %d", loaded.Algorithm(), loaded.Rounds(), built.Algorithm(), built.Rounds())
+			}
+			for r := 0; r < built.Rounds(); r++ {
+				if !reflect.DeepEqual(loaded.Round(r), built.Round(r)) {
+					t.Fatalf("round %d differs after reload", r)
+				}
+			}
+			for v := 0; v < nw.Processors(); v++ {
+				if loaded.TimetableOf(v) != built.TimetableOf(v) {
+					t.Fatalf("timetable of %d differs after reload", v)
+				}
+			}
+			if err := loaded.Verify(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -282,7 +308,7 @@ func TestPlanBytesRejects(t *testing.T) {
 	if _, err := decodePlanBytes(good, fp+1, ConcurrentUpDown); !errors.Is(err, errPlanBytes) {
 		t.Errorf("wrong fingerprint: err = %v, want errPlanBytes", err)
 	}
-	if _, err := decodePlanBytes(good, fp, Simple); !errors.Is(err, errPlanBytes) {
+	if _, err := decodePlanBytes(good, fp, Beep); !errors.Is(err, errPlanBytes) {
 		t.Errorf("wrong algorithm: err = %v, want errPlanBytes", err)
 	}
 	// Tree edge not in topology: rebuild the payload with one graph edge

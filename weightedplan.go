@@ -27,31 +27,22 @@ type WeightedPlan struct {
 // a private snapshot of the topology, so it is safe to run concurrently
 // with link churn.
 func (nw *Network) PlanWeightedGossip(counts []int) (*WeightedPlan, error) {
-	p, wp, err := planWeighted(nw.snapshotGraph(), counts)
-	if err != nil {
-		return nil, err
-	}
-	return &WeightedPlan{plan: p, expandedRounds: wp.Expanded.Time()}, nil
-}
-
-// planWeighted is the one weighted constructor, shared by
-// PlanWeightedGossip and the registry's Weighted planner. It returns the
-// contracted schedule as an eager Plan together with the full expansion.
-// The Plan carries message owners only when some count exceeds 1, and no
-// tree views: the expansion's tree spans the virtual chain processors too.
-func planWeighted(g *graph.Graph, counts []int) (*Plan, *weighted.Plan, error) {
+	g := nw.snapshotGraph()
 	wp, err := weighted.Gossip(g, counts)
 	if err != nil {
 		if errors.Is(err, graph.ErrDisconnected) {
-			return nil, nil, ErrDisconnected
+			return nil, ErrDisconnected
 		}
-		return nil, nil, err
+		return nil, err
 	}
+	// The Plan carries message owners only when some count exceeds 1, and
+	// no tree views: the expansion's tree spans the virtual chain
+	// processors too.
 	p := &Plan{network: g, algo: Weighted, radius: wp.ExpandedRadius, sweep: wp.Sweep, sched: wp.Schedule}
 	if wp.TotalMessages > g.N() {
 		p.owners = wp.MsgOwner
 	}
-	return p, wp, nil
+	return &WeightedPlan{plan: p, expandedRounds: wp.Expanded.Time()}, nil
 }
 
 // Rounds returns the contracted schedule's total communication time.
