@@ -1,15 +1,15 @@
 # Development targets. `make check` is the PR gate: vet, build, the full
 # test suite under the race detector (the sweep engine runs a worker pool on
 # every MinDepth/Radius/Diameter call, so every PR must exercise it under
-# -race), a one-iteration sweep benchmark smoke, a small faultbench run
-# proving the fault-injection / repair pipeline end to end, and a run of
-# every examples/ program.
+# -race), the sweep engine's tests on a one-worker pool, a one-iteration
+# sweep benchmark smoke, a small faultbench run proving the fault-injection
+# / repair pipeline end to end, and a run of every examples/ program.
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race cover perfbench-check bench-smoke examples-smoke fault-smoke fuzz-smoke serve-smoke plan-smoke churn-smoke store-smoke sim-smoke matrix-smoke bench sweep-record fault-record obs-record serve-record plan-record churn-record store-record sim-record matrix-record experiments
+.PHONY: check vet staticcheck build test race single-worker cover perfbench-check bench-smoke examples-smoke fault-smoke fuzz-smoke serve-smoke plan-smoke churn-smoke store-smoke sim-smoke matrix-smoke bench sweep-record fault-record obs-record serve-record plan-record churn-record store-record sim-record matrix-record experiments
 
-check: vet staticcheck build race cover perfbench-check bench-smoke examples-smoke fault-smoke fuzz-smoke serve-smoke plan-smoke churn-smoke store-smoke sim-smoke matrix-smoke
+check: vet staticcheck build race single-worker cover perfbench-check bench-smoke examples-smoke fault-smoke fuzz-smoke serve-smoke plan-smoke churn-smoke store-smoke sim-smoke matrix-smoke
 
 # Vet plus a formatting gate: gofmt must list no file.
 vet:
@@ -33,6 +33,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The sweep engine's packages again on a one-worker pool: on a multi-CPU
+# host the single-worker interleaving (one goroutine claiming every root,
+# lane batch after lane batch) is otherwise never exercised. -count=1
+# because GOMAXPROCS is not part of the test cache key.
+single-worker:
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/graph ./internal/spantree
 
 # Atomic-mode coverage over the library packages (cmd/ mains and examples/
 # are exercised by the smokes, not unit tests) with a floor at the recorded

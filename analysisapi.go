@@ -61,11 +61,14 @@ func (p *KPortPlan) Verify() error {
 // processors); Seeds the sequential double-sweep traversals that bootstrap
 // the pruning bounds; Completed the traversals run to completion (seeds
 // included); Pruned the roots skipped outright by an eccentricity lower
-// bound; ShortCircuited the traversals abandoned mid-flight once their
-// frontier depth exceeded the best tree height already found; Workers the
-// size of the worker pool. Completed + Pruned + ShortCircuited == Roots
-// (up to seed-phase double-visits), so Pruned + ShortCircuited over Roots
-// is the fraction of the paper's O(nm) construction the engine avoided.
+// bound; ShortCircuited the traversals abandoned mid-flight once they
+// provably lost: deeper than the best tree height already found or, for
+// the minimum-depth tree, as deep as it for a root numbered above that
+// tree's root, which loses the tie; Workers the size of the worker pool.
+// A traversal is counted the same whether it ran alone or as one lane of a
+// 64-root bit-parallel pass. Completed + Pruned + ShortCircuited == Roots,
+// so Pruned + ShortCircuited over Roots is the fraction of the paper's
+// O(nm) construction the engine avoided.
 type SweepStats struct {
 	Roots          int
 	Seeds          int

@@ -2,9 +2,11 @@
 // sequential-naive Section 3.1 construction and records the comparison in a
 // machine-readable perf record (BENCH_sweep.json by default).
 //
-// For every topology in {ring, grid, random} and every size in -sizes it
-// times the naive loop (a BFS spanning tree from every root, kept if
-// shallower) and the pruned parallel sweep behind spantree.MinDepth, and
+// For every topology in {ring, grid, random} and every size in -sizes, at
+// GOMAXPROCS 1 and at runtime.NumCPU() (the sweep fans roots over a worker
+// pool, so a 1-CPU record says nothing about the pool), it times the naive
+// loop (a BFS spanning tree from every root, kept if shallower) and the
+// pruned parallel sweep behind spantree.MinDepth, and
 // reports the engine's observability counters: traversals completed, roots
 // pruned by eccentricity lower bounds, traversals short-circuited by the
 // best-height cutoff, and the steady-state allocations per traversal of the
@@ -36,6 +38,7 @@ import (
 
 type record struct {
 	Topology            string  `json:"topology"`
+	GoMaxProcs          int     `json:"gomaxprocs"`
 	N                   int     `json:"n"`
 	M                   int     `json:"m"`
 	Radius              int     `json:"radius"`
@@ -52,12 +55,11 @@ type record struct {
 }
 
 type report struct {
-	Tool       string   `json:"tool"`
-	Benchmark  string   `json:"benchmark"`
-	GoMaxProcs int      `json:"gomaxprocs"`
-	NumCPU     int      `json:"num_cpu"`
-	GoVersion  string   `json:"go_version"`
-	Cases      []record `json:"cases"`
+	Tool      string   `json:"tool"`
+	Benchmark string   `json:"benchmark"`
+	NumCPU    int      `json:"num_cpu"`
+	GoVersion string   `json:"go_version"`
+	Cases     []record `json:"cases"`
 }
 
 func buildGraph(kind string, n int) *graph.Graph {
@@ -93,7 +95,7 @@ func measure(kind string, n int, tracer *obs.Tracer) record {
 	g := buildGraph(kind, n)
 	span := func(stage string, f func()) {
 		if tracer != nil {
-			name := fmt.Sprintf("%s %s n=%d", stage, kind, n)
+			name := fmt.Sprintf("%s %s n=%d procs=%d", stage, kind, n, runtime.GOMAXPROCS(0))
 			tracer.BeginPhase(name, "")
 			defer tracer.EndPhase(name)
 		}
@@ -143,6 +145,7 @@ func measure(kind string, n int, tracer *obs.Tracer) record {
 	})
 	return record{
 		Topology:            kind,
+		GoMaxProcs:          runtime.GOMAXPROCS(0),
 		N:                   g.N(),
 		M:                   g.M(),
 		Radius:              height,
@@ -181,21 +184,27 @@ func main() {
 	}
 
 	rep := report{
-		Tool:       "cmd/sweepbench",
-		Benchmark:  "spantree.MinDepth: sequential-naive n-BFS loop vs parallel pruned sweep engine",
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		GoVersion:  runtime.Version(),
+		Tool:      "cmd/sweepbench",
+		Benchmark: "spantree.MinDepth: sequential-naive n-BFS loop vs parallel pruned sweep engine",
+		NumCPU:    runtime.NumCPU(),
+		GoVersion: runtime.Version(),
 	}
-	fmt.Printf("%-8s %6s %7s %14s %14s %8s %10s %8s %8s %8s\n",
-		"topology", "n", "m", "naive ns/op", "pruned ns/op", "speedup", "completed", "pruned", "short", "allocs/t")
+	procs := []int{1}
+	if runtime.NumCPU() > 1 {
+		procs = append(procs, runtime.NumCPU())
+	}
+	fmt.Printf("%-8s %6s %7s %5s %14s %14s %8s %10s %8s %8s %8s\n",
+		"topology", "n", "m", "procs", "naive ns/op", "pruned ns/op", "speedup", "completed", "pruned", "short", "allocs/t")
 	for _, kind := range []string{"ring", "grid", "random"} {
 		for _, n := range ns {
-			r := measure(kind, n, tracer)
-			rep.Cases = append(rep.Cases, r)
-			fmt.Printf("%-8s %6d %7d %14d %14d %7.2fx %10d %8d %8d %8.4f\n",
-				r.Topology, r.N, r.M, r.NaiveNsOp, r.PrunedNsOp, r.Speedup,
-				r.RootsCompleted, r.RootsPruned, r.RootsShortCircuited, r.AllocsPerTraversal)
+			for _, p := range procs {
+				runtime.GOMAXPROCS(p)
+				r := measure(kind, n, tracer)
+				rep.Cases = append(rep.Cases, r)
+				fmt.Printf("%-8s %6d %7d %5d %14d %14d %7.2fx %10d %8d %8d %8.4f\n",
+					r.Topology, r.N, r.M, r.GoMaxProcs, r.NaiveNsOp, r.PrunedNsOp, r.Speedup,
+					r.RootsCompleted, r.RootsPruned, r.RootsShortCircuited, r.AllocsPerTraversal)
+			}
 		}
 	}
 

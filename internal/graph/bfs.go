@@ -196,7 +196,8 @@ func (g *Graph) Eccentricities() []int {
 
 // Radius returns the minimum eccentricity, i.e. the least r such that some
 // vertex reaches every vertex within r edges. This is the r of the paper's
-// n + r bound. It runs on the pruned parallel sweep (Sweep with SweepMin).
+// n + r bound. It runs on the pruned parallel sweep (Sweep with
+// SweepCenter).
 func (g *Graph) Radius() int {
 	r, _ := g.RadiusCenter()
 	return r
@@ -211,12 +212,13 @@ func (g *Graph) Diameter() int {
 }
 
 // RadiusCenter returns the radius together with the lowest-numbered center
-// vertex (a vertex achieving the radius), via the pruned parallel sweep.
+// vertex (a vertex achieving the radius), via the pruned parallel sweep in
+// SweepCenter mode, which proves only that one center.
 func (g *Graph) RadiusCenter() (radius, center int) {
 	if g.N() == 0 {
 		return 0, -1
 	}
-	res := g.mustSweep(SweepMin)
+	res := g.mustSweep(SweepCenter)
 	return res.Radius, res.Center
 }
 

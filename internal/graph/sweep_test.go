@@ -2,7 +2,9 @@ package graph
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -125,14 +127,113 @@ func TestQuickSweepMatchesNaive(t *testing.T) {
 	}
 }
 
+// relabel returns g with its vertices renamed by a random permutation, so
+// that index order, which the sweep hands roots out in, carries no trace of
+// the generator's layout.
+func relabel(rng *rand.Rand, g *Graph) *Graph {
+	perm := rng.Perm(g.N())
+	out := New(g.N())
+	for _, e := range g.Edges() {
+		out.AddEdge(perm[e.U], perm[e.V])
+	}
+	return out
+}
+
+type sweepCase struct {
+	name string
+	g    *Graph
+}
+
+// sweepBattery is the large-n differential input set: random graphs at
+// three densities up to n = 4096, which run on the 64-lane kernel with
+// hundreds of candidate roots, relabelled narrow families (cycles, tori,
+// grids) and trees on the scalar path, and the extremal shapes — complete
+// graphs, stars and wheels, where every root or one hub is a center.
+func sweepBattery() []sweepCase {
+	rng := rand.New(rand.NewSource(21))
+	var cs []sweepCase
+	add := func(name string, g *Graph) { cs = append(cs, sweepCase{name, g}) }
+	for _, n := range []int{130, 1000, 4096} {
+		for _, deg := range []int{4, 8, 16} {
+			add(fmt.Sprintf("random%d/deg%d", n, deg), RandomConnected(rng, n, float64(deg)/float64(n)))
+		}
+	}
+	add("cycle301", relabel(rng, Cycle(301)))
+	add("cycle512", relabel(rng, Cycle(512)))
+	add("torus16x24", relabel(rng, Torus(16, 24)))
+	add("grid20x33", relabel(rng, Grid(20, 33)))
+	add("grid3x400", relabel(rng, Grid(3, 400)))
+	add("tree2000", RandomTree(rng, 2000))
+	add("hypercube8", relabel(rng, Hypercube(8)))
+	add("hypercube10", relabel(rng, Hypercube(10)))
+	add("complete200", Complete(200))
+	add("star300", relabel(rng, Star(300)))
+	add("wheel200", relabel(rng, Wheel(200)))
+	add("petersen", Petersen())
+	add("single", New(1))
+	add("K2", Complete(2))
+	return cs
+}
+
+// TestSweepBatteryMatchesNaive holds both minimum-seeking modes to the
+// naive n-BFS fold on the large-n battery, with one worker and with four:
+// Radius and Center exactly, Centers exactly (only Center in SweepCenter
+// mode), and every eccentricity a sweep reports. It also checks that the
+// battery reaches both the lane kernel, with more than two passes' worth of
+// candidate roots, and the scalar path.
+func TestSweepBatteryMatchesNaive(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var wide, narrow, manyCandidates int
+	for _, tc := range sweepBattery() {
+		g := tc.g
+		wantEcc, wantR, _, wantCenters := naiveMetrics(g)
+		isWide := g.N()/(wantEcc[0]+1) >= laneMinWidth
+		if isWide {
+			wide++
+		} else {
+			narrow++
+		}
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			for _, mode := range []SweepMode{SweepMin, SweepCenter} {
+				res, err := g.Sweep(mode)
+				if err != nil {
+					t.Fatalf("%s procs=%d mode %d: %v", tc.name, procs, mode, err)
+				}
+				want := wantCenters
+				if mode == SweepCenter {
+					want = wantCenters[:1]
+				}
+				if res.Radius != wantR || res.Center != wantCenters[0] || !equalInts(res.Centers, want) {
+					t.Errorf("%s procs=%d mode %d: r=%d center=%d centers=%v, want r=%d center=%d centers=%v",
+						tc.name, procs, mode, res.Radius, res.Center, res.Centers, wantR, wantCenters[0], want)
+				}
+				for v, e := range res.Ecc {
+					if e >= 0 && e != wantEcc[v] {
+						t.Errorf("%s procs=%d mode %d: ecc[%d] = %d, want %d", tc.name, procs, mode, v, e, wantEcc[v])
+					}
+				}
+				s := res.Stats
+				if isWide && s.Completed+s.ShortCircuited-s.Seeds > 128 {
+					manyCandidates++
+				}
+			}
+		}
+	}
+	if wide == 0 || narrow == 0 || manyCandidates == 0 {
+		t.Fatalf("battery misses a path: %d wide and %d narrow graphs, %d lane sweeps over 128 candidates",
+			wide, narrow, manyCandidates)
+	}
+}
+
 func TestSweepAccounting(t *testing.T) {
 	// Every root is accounted for exactly once: the seed phase visits
 	// distinct roots (counted inside Completed via Seeds), and the parallel
 	// phase resolves each remaining root as completed, pruned, or
 	// short-circuited.
 	rng := rand.New(rand.NewSource(9))
-	for _, g := range []*Graph{Grid(16, 16), Cycle(200), RandomConnected(rng, 300, 0.03), New(1)} {
-		for _, mode := range []SweepMode{SweepAll, SweepMin} {
+	for _, g := range []*Graph{Grid(16, 16), Cycle(200), RandomConnected(rng, 300, 0.03), RandomConnected(rng, 1000, 0.01), New(1)} {
+		for _, mode := range []SweepMode{SweepAll, SweepMin, SweepCenter} {
 			res, err := g.Sweep(mode)
 			if err != nil {
 				t.Fatal(err)
@@ -179,7 +280,7 @@ func TestSweepDisconnected(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1)
 	g.AddEdge(2, 3)
-	for _, mode := range []SweepMode{SweepAll, SweepMin} {
+	for _, mode := range []SweepMode{SweepAll, SweepMin, SweepCenter} {
 		_, err := g.Sweep(mode)
 		if err == nil {
 			t.Fatalf("mode %d accepted a disconnected graph", mode)

@@ -1,7 +1,9 @@
 package spantree
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -204,5 +206,72 @@ func TestQuickFromParentsRejectsOrAccepts(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// relabel returns g with its vertices renamed by a random permutation, so
+// that index order carries no trace of the generator's layout.
+func relabel(rng *rand.Rand, g *graph.Graph) *graph.Graph {
+	perm := rng.Perm(g.N())
+	out := graph.New(g.N())
+	for _, e := range g.Edges() {
+		out.AddEdge(perm[e.U], perm[e.V])
+	}
+	return out
+}
+
+// TestMinDepthBatteryBitIdenticalToNaive holds MinDepth to the naive n-BFS
+// loop at sizes the quick property never reaches — random graphs at three
+// densities and up to n = 4096 (the 64-lane sweep kernel with hundreds of
+// candidate roots), relabelled cycles, tori and grids, trees, hypercubes,
+// complete graphs, stars, wheels, Petersen and n in {1, 2} — with one
+// worker and with four: same root, same height, same parent array.
+func TestMinDepthBatteryBitIdenticalToNaive(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(21))
+	graphs := map[string]*graph.Graph{
+		"cycle301":    relabel(rng, graph.Cycle(301)),
+		"cycle512":    relabel(rng, graph.Cycle(512)),
+		"torus16x24":  relabel(rng, graph.Torus(16, 24)),
+		"grid20x33":   relabel(rng, graph.Grid(20, 33)),
+		"tree2000":    graph.RandomTree(rng, 2000),
+		"hypercube10": relabel(rng, graph.Hypercube(10)),
+		"complete200": graph.Complete(200),
+		"star300":     relabel(rng, graph.Star(300)),
+		"wheel200":    relabel(rng, graph.Wheel(200)),
+		"petersen":    graph.Petersen(),
+		"single":      graph.New(1),
+		"K2":          graph.Complete(2),
+	}
+	for _, n := range []int{130, 1000} {
+		for _, deg := range []int{4, 8, 16} {
+			graphs[fmt.Sprintf("random%d/deg%d", n, deg)] = graph.RandomConnected(rng, n, float64(deg)/float64(n))
+		}
+	}
+	// The naive loop builds n trees of n vertices each, so the larger sizes
+	// get one density each; at degree 16 nearly every vertex is a center.
+	graphs["random2048/deg8"] = graph.RandomConnected(rng, 2048, 8.0/2048)
+	graphs["random4096/deg16"] = graph.RandomConnected(rng, 4096, 16.0/4096)
+	for name, g := range graphs {
+		want, err := naiveMinDepth(g)
+		if err != nil {
+			t.Fatalf("%s: naive: %v", name, err)
+		}
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			got, err := MinDepth(g)
+			if err != nil {
+				t.Fatalf("%s procs=%d: %v", name, procs, err)
+			}
+			if got.Root != want.Root || got.Height != want.Height {
+				t.Fatalf("%s procs=%d: root %d height %d, want root %d height %d",
+					name, procs, got.Root, got.Height, want.Root, want.Height)
+			}
+			for v := range want.Parent {
+				if got.Parent[v] != want.Parent[v] {
+					t.Fatalf("%s procs=%d: parent[%d] = %d, want %d", name, procs, v, got.Parent[v], want.Parent[v])
+				}
+			}
+		}
 	}
 }

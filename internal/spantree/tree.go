@@ -125,11 +125,12 @@ func BFSTree(g *graph.Graph, root int) (*Tree, error) {
 // MinDepth constructs a minimum-depth spanning tree of g with the result
 // the paper's Section 3.1 prescribes: of the n BFS trees, the one of least
 // height, ties broken toward the lowest-numbered root. The n-root search
-// runs on the pruned parallel sweep engine (graph.Sweep with SweepMin)
-// instead of the naive sequential loop, but the returned tree — root,
-// parent array, height — is bit-identical to the naive construction
-// (asserted by differential tests). The height of the result equals the
-// radius of g. g must be connected and non-empty.
+// runs on the pruned parallel sweep engine (graph.Sweep with SweepCenter,
+// which proves only the lowest-numbered center) instead of the naive
+// sequential loop, but the returned tree — root, parent array, height — is
+// bit-identical to the naive construction (asserted by differential
+// tests). The height of the result equals the radius of g. g must be
+// connected and non-empty.
 func MinDepth(g *graph.Graph) (*Tree, error) {
 	t, _, err := MinDepthWithStats(g)
 	return t, err
@@ -142,7 +143,7 @@ func MinDepthWithStats(g *graph.Graph) (*Tree, graph.SweepStats, error) {
 	if g.N() == 0 {
 		return nil, graph.SweepStats{}, fmt.Errorf("spantree: empty graph")
 	}
-	res, err := g.Sweep(graph.SweepMin)
+	res, err := g.Sweep(graph.SweepCenter)
 	if err != nil {
 		return nil, graph.SweepStats{}, fmt.Errorf("spantree: %w", err)
 	}
