@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race single-worker cover perfbench-check bench-smoke examples-smoke fault-smoke fuzz-smoke serve-smoke plan-smoke churn-smoke store-smoke sim-smoke matrix-smoke bench sweep-record fault-record obs-record serve-record plan-record churn-record store-record sim-record matrix-record experiments
+.PHONY: check vet staticcheck build test race single-worker cover perfbench-check bench-smoke examples-smoke fault-smoke fuzz-smoke serve-smoke plan-smoke churn-smoke store-smoke sim-smoke matrix-smoke bench sweep-record fault-record obs-record plan-record churn-record store-record sim-record matrix-record experiments
 
 check: vet staticcheck build race single-worker cover perfbench-check bench-smoke examples-smoke fault-smoke fuzz-smoke serve-smoke plan-smoke churn-smoke store-smoke sim-smoke matrix-smoke
 
@@ -92,7 +92,7 @@ serve-smoke:
 	@set -e; \
 	./bin/gossipd -addr $(SERVE_ADDR) -workers 4 & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null || true' EXIT; \
-	./bin/loadgen -url http://$(SERVE_ADDR) -duration 2s -rate 100 -n 128 -cold-keys 8 -assert -out /dev/null; \
+	./bin/loadgen -url http://$(SERVE_ADDR) -duration 2s -rate 100 -n 128 -cold-keys 8 -assert; \
 	kill -TERM $$pid; \
 	wait $$pid; \
 	echo "serve-smoke: clean drain"
@@ -166,37 +166,25 @@ matrix-smoke:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
+# The *-record targets regenerate the committed BENCH_*.json records. Each
+# record leads with the cliutil.Env header (tool, GOMAXPROCS, CPU count, Go
+# version, git revision); plain `go run` stamps no VCS info, so they run
+# with -buildvcs=true (`go build` stamps it by default).
+#
 # Regenerate the BENCH_sweep.json perf record (naive vs pruned sweep across
 # ring/grid/random at n in {256, 1024, 4096}).
 sweep-record:
-	$(GO) run ./cmd/sweepbench -out BENCH_sweep.json
+	$(GO) run -buildvcs=true ./cmd/sweepbench -out BENCH_sweep.json
 
 # Regenerate the BENCH_fault.json robustness record (coverage vs loss rate
 # and repair overhead across ring/grid/random at n in {256, 1024}).
 fault-record:
-	$(GO) run ./cmd/faultbench -out BENCH_fault.json
+	$(GO) run -buildvcs=true ./cmd/faultbench -out BENCH_fault.json
 
 # Regenerate the BENCH_obs.json observability-overhead record (untraced vs
 # nil-observer vs sink-attached execution on a ring at n = 1024).
 obs-record:
-	$(GO) run ./cmd/obsbench -out BENCH_obs.json
-
-# Regenerate the BENCH_serve.json serving record: a 20-second open-loop
-# run at n = 1024 with a 96/4 hot/cold key mix against a deliberately
-# small cache (8 plans / 256 MiB) so evictions appear in the record, and a
-# 10x hot-over-cold p50 floor asserted. The rate is sized so cold
-# constructions (~0.3-1 s each at n = 1024) keep offered CPU load below
-# one core — an overloaded server measures its queue, not its cache.
-serve-record:
-	@mkdir -p bin
-	$(GO) build -o bin/gossipd ./cmd/gossipd
-	$(GO) build -o bin/loadgen ./cmd/loadgen
-	@set -e; \
-	./bin/gossipd -addr $(SERVE_ADDR) -workers 4 -queue 128 -cache-entries 8 -cache-bytes 268435456 & pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true' EXIT; \
-	./bin/loadgen -url http://$(SERVE_ADDR) -duration 20s -rate 30 -hot 0.96 -n 1024 -cold-keys 48 -assert -min-speedup 10 -out BENCH_serve.json; \
-	kill -TERM $$pid; \
-	wait $$pid
+	$(GO) run -buildvcs=true ./cmd/obsbench -out BENCH_obs.json
 
 # Regenerate the BENCH_store.json resilience record: a two-replica cluster
 # over real store directories — cold construction cost vs warm-start-from-
@@ -217,27 +205,27 @@ store-record:
 # The full ring/grid materialisations take minutes; GOMEMLIMIT keeps the
 # ring n = 4096 one near 2.7 GB resident instead of over 6 GB.
 plan-record:
-	GOMEMLIMIT=2GiB $(GO) run ./cmd/planbench -out BENCH_plan.json
+	GOMEMLIMIT=2GiB $(GO) run -buildvcs=true ./cmd/planbench -out BENCH_plan.json
 
 # Regenerate the BENCH_churn.json churn record: patch turnaround vs cold
-# rebuild on ring/random at n in {1024, 4096} with the 10x floor asserted
-# on the largest random case, plus the deterministic flap-hysteresis trace
+# rebuild on ring/random at n in {1024, 4096}, each at GOMAXPROCS 1 and
+# NumCPU, with the 10x floor asserted on the largest random case, plus the deterministic flap-hysteresis trace
 # (suppressed within the window, rebuilt outside it).
 churn-record:
-	$(GO) run ./cmd/churnbench -out BENCH_churn.json
+	$(GO) run -buildvcs=true ./cmd/churnbench -out BENCH_churn.json
 
 # Regenerate the BENCH_sim.json simulator record: million-node sync runs
 # (star and 1000-ary tree, leaf fan-out folding), exact fold-off runs at
 # n in {16384, 32768} where every point delivery is simulated, and async
 # event-driven runs under a uniform latency model.
 sim-record:
-	$(GO) run ./cmd/simbench -out BENCH_sim.json
+	$(GO) run -buildvcs=true ./cmd/simbench -out BENCH_sim.json
 
 # Regenerate the BENCH_matrix.json scenario-matrix record: the full
 # portfolio (6 algorithms) × ring/grid/random × fault-free/lossy at
 # n in {16, 36, 64}, every cell asserted within its registered bound.
 matrix-record:
-	$(GO) run ./cmd/matrixbench -out BENCH_matrix.json
+	$(GO) run -buildvcs=true ./cmd/matrixbench -out BENCH_matrix.json
 
 experiments:
 	$(GO) run ./cmd/experiments

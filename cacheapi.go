@@ -6,9 +6,10 @@ import (
 	"multigossip/internal/plancache"
 )
 
-// Serving layer: plan reuse across requests. Constructing a plan costs an
-// O(nm) metric sweep plus an O(n²) schedule build, but the finished Plan is
-// immutable and safe to share between goroutines (Round, TimetableOf,
+// Serving layer: plan reuse across requests. Constructing a plan costs the
+// minimum-depth sweep (O(nm) in the worst case) plus the plan itself: O(n)
+// for a packed ConcurrentUpDown plan, a Θ(n²) schedule for the planners that
+// still build one eagerly. The finished Plan is immutable and safe to share between goroutines (Round, TimetableOf,
 // ExecuteTraced and ExecuteWithFaults never mutate it — see the plan
 // sharing race test). PlanCache exploits that: it content-addresses
 // networks by Network.Fingerprint, keeps finished plans in a bounded LRU,

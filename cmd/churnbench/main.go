@@ -11,9 +11,11 @@
 // grafted removals (re-adding the link after each probe, which restores
 // the cached original plan bit-identically via the XOR fingerprint), and
 // reports the median and minimum of both paths plus the outcome histogram
-// the probing saw. With -min-speedup > 0 the bench fails unless the
-// median cold/patch ratio on the largest random case clears the floor —
-// the acceptance gate for the churn layer.
+// the probing saw. Every case runs at GOMAXPROCS 1 and at runtime.NumCPU()
+// (the cold rebuild's sweep runs on a worker pool; the patch path does
+// not). With -min-speedup > 0 the bench fails unless the median
+// cold/patch ratio on the largest random case clears the floor at every
+// GOMAXPROCS — the acceptance gate for the churn layer.
 //
 // The record also carries a deterministic hysteresis trace: on a wheel
 // (hub + rim ring), a spoke that was removed and re-added inside the flap
@@ -26,23 +28,22 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"multigossip"
+	"multigossip/internal/cliutil"
 	"multigossip/internal/graph"
 )
 
 type caseRecord struct {
 	Topology      string  `json:"topology"`
+	GoMaxProcs    int     `json:"gomaxprocs"`
 	N             int     `json:"n"`
 	M             int     `json:"m"`
 	Radius        int     `json:"radius"`
@@ -67,24 +68,9 @@ type hysteresisRecord struct {
 }
 
 type report struct {
-	Tool       string           `json:"tool"`
-	Benchmark  string           `json:"benchmark"`
-	GoMaxProcs int              `json:"gomaxprocs"`
-	NumCPU     int              `json:"num_cpu"`
-	GoVersion  string           `json:"go_version"`
+	cliutil.Env
 	Cases      []caseRecord     `json:"cases"`
 	Hysteresis hysteresisRecord `json:"hysteresis"`
-}
-
-func buildGraph(kind string, n int) *graph.Graph {
-	switch kind {
-	case "ring":
-		return graph.Cycle(n)
-	case "random":
-		rng := rand.New(rand.NewSource(int64(n)))
-		return graph.RandomConnected(rng, n, 8/float64(n))
-	}
-	panic("unknown topology " + kind)
 }
 
 func networkFrom(g *graph.Graph) *multigossip.Network {
@@ -112,14 +98,14 @@ func minOf(ns []int64) int64 {
 // grafted removals, timing each RemoveLink end to end, and times cold
 // rebuilds of the same planner for the baseline.
 func measure(kind string, n, samples int) (caseRecord, error) {
-	g := buildGraph(kind, n)
+	g := cliutil.BenchGraph(kind, n)
 	nw := networkFrom(g)
 	cache := multigossip.NewPlanCache()
 	dp, err := multigossip.NewDynamicPlanner(nw, multigossip.WithPlanCache(cache))
 	if err != nil {
 		return caseRecord{}, err
 	}
-	rec := caseRecord{Topology: kind, N: g.N(), M: g.M(), Radius: dp.Plan().Radius()}
+	rec := caseRecord{Topology: kind, GoMaxProcs: runtime.GOMAXPROCS(0), N: g.N(), M: g.M(), Radius: dp.Plan().Radius()}
 
 	edges := g.Edges()
 	rng := rand.New(rand.NewSource(int64(n) + 1))
@@ -248,23 +234,6 @@ func hysteresis() (hysteresisRecord, error) {
 	}, nil
 }
 
-func parseSizes(val string) []int {
-	var ns []int
-	for _, f := range strings.Split(val, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 4 {
-			fmt.Fprintf(os.Stderr, "churnbench: bad -sizes value %q\n", f)
-			os.Exit(2)
-		}
-		ns = append(ns, n)
-	}
-	return ns
-}
-
 func main() {
 	out := flag.String("out", "BENCH_churn.json", "output path for the perf record")
 	sizes := flag.String("sizes", "1024,4096", "comma-separated vertex counts")
@@ -272,32 +241,32 @@ func main() {
 	minSpeedup := flag.Float64("min-speedup", 10, "required cold/patch median ratio on the largest random case (0 disables)")
 	flag.Parse()
 
-	rep := report{
-		Tool:       "cmd/churnbench",
-		Benchmark:  "patch turnaround (GraftTree + O(n) re-derivation) vs cold rebuild (O(nm) sweep) under topology churn, plus the flap-hysteresis trace",
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		GoVersion:  runtime.Version(),
+	ns, err := cliutil.ParseSizes(*sizes, 4)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "churnbench: -sizes: %v\n", err)
+		os.Exit(2)
 	}
-	ns := parseSizes(*sizes)
-	fmt.Printf("%-8s %7s %8s %14s %14s %9s %8s %8s %8s\n",
-		"topology", "n", "m", "cold med", "patch med", "speedup", "grafts", "reused", "rebuilt")
-	var largestRandom *caseRecord
+	rep := report{Env: cliutil.NewEnv("cmd/churnbench",
+		"patch turnaround (GraftTree + O(n) re-derivation) vs cold rebuild (O(nm) sweep) under topology churn, plus the flap-hysteresis trace")}
+	fmt.Printf("%-8s %7s %8s %5s %14s %14s %9s %8s %8s %8s\n",
+		"topology", "n", "m", "procs", "cold med", "patch med", "speedup", "grafts", "reused", "rebuilt")
+	var largestRandom []caseRecord // the largest random case at each GOMAXPROCS
 	for _, kind := range []string{"ring", "random"} {
 		for _, n := range ns {
-			rec, err := measure(kind, n, *samples)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "churnbench: %v\n", err)
-				os.Exit(1)
-			}
-			rep.Cases = append(rep.Cases, rec)
-			fmt.Printf("%-8s %7d %8d %14s %14s %8.1fx %8d %8d %8d\n",
-				rec.Topology, rec.N, rec.M,
-				time.Duration(rec.ColdMedianNs), time.Duration(rec.PatchMedianNs),
-				rec.Speedup, rec.GraftSamples, rec.ReusedProbes, rec.RebuiltProbes)
-			if kind == "random" {
-				largestRandom = &rep.Cases[len(rep.Cases)-1]
-			}
+			largestRandom = largestRandom[:0]
+			cliutil.ForEachGOMAXPROCS(func() {
+				rec, err := measure(kind, n, *samples)
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "churnbench: %v\n", err)
+					os.Exit(1)
+				}
+				rep.Cases = append(rep.Cases, rec)
+				fmt.Printf("%-8s %7d %8d %5d %14s %14s %8.1fx %8d %8d %8d\n",
+					rec.Topology, rec.N, rec.M, rec.GoMaxProcs,
+					time.Duration(rec.ColdMedianNs), time.Duration(rec.PatchMedianNs),
+					rec.Speedup, rec.GraftSamples, rec.ReusedProbes, rec.RebuiltProbes)
+				largestRandom = append(largestRandom, rec)
+			})
 		}
 	}
 
@@ -310,18 +279,15 @@ func main() {
 	fmt.Printf("hysteresis: flapping spoke -> %s (radius %d), quiet spoke -> %s (radius %d)\n",
 		h.FlapOutcome, h.FlapRadius, h.QuietOutcome, h.QuietRadius)
 
-	if *minSpeedup > 0 && largestRandom != nil && largestRandom.Speedup < *minSpeedup {
-		fmt.Fprintf(os.Stderr, "churnbench: random n=%d patch speedup %.1fx fell below the %.0fx floor\n",
-			largestRandom.N, largestRandom.Speedup, *minSpeedup)
-		os.Exit(1)
+	for _, rec := range largestRandom {
+		if *minSpeedup > 0 && rec.Speedup < *minSpeedup {
+			fmt.Fprintf(os.Stderr, "churnbench: random n=%d patch speedup %.1fx at GOMAXPROCS %d fell below the %.0fx floor\n",
+				rec.N, rec.Speedup, rec.GoMaxProcs, *minSpeedup)
+			os.Exit(1)
+		}
 	}
 
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
+	if err := cliutil.WriteRecord(*out, rep); err != nil {
 		fmt.Fprintf(os.Stderr, "churnbench: %v\n", err)
 		os.Exit(1)
 	}

@@ -21,18 +21,16 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
 	"multigossip"
+	"multigossip/internal/cliutil"
 )
 
 type record struct {
@@ -80,10 +78,7 @@ type permRecord struct {
 }
 
 type report struct {
-	Tool            string       `json:"tool"`
-	Benchmark       string       `json:"benchmark"`
-	GoMaxProcs      int          `json:"gomaxprocs"`
-	GoVersion       string       `json:"go_version"`
+	cliutil.Env
 	Cases           []record     `json:"cases"`
 	PermanentFaults []permRecord `json:"permanent_faults"`
 }
@@ -298,12 +293,8 @@ func main() {
 		watch = multigossip.MultiObserver(watch, multigossip.InstrumentMetrics(metrics))
 	}
 
-	rep := report{
-		Tool:       "cmd/faultbench",
-		Benchmark:  "ConcurrentUpDown under Bernoulli link loss: coverage before/after repair and repair overhead",
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-	}
+	rep := report{Env: cliutil.NewEnv("cmd/faultbench",
+		"ConcurrentUpDown under Bernoulli link loss: coverage before/after repair and repair overhead")}
 	fmt.Printf("%-8s %6s %8s %9s %9s %8s %9s %7s %8s\n",
 		"topology", "n", "loss", "raw cov", "final", "dropped", "rep.rnds", "iters", "overhead")
 	for _, kind := range []string{"ring", "grid", "random"} {
@@ -341,42 +332,24 @@ func main() {
 		}
 	}
 
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
+	if err := cliutil.WriteRecord(*out, rep); err != nil {
 		fmt.Fprintf(os.Stderr, "faultbench: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s\n", *out)
 
 	if tracer != nil {
-		if err := writeTo(*tracePath, tracer.WriteChromeTrace); err != nil {
+		if err := cliutil.WriteFileFunc(*tracePath, tracer.WriteChromeTrace); err != nil {
 			fmt.Fprintf(os.Stderr, "faultbench: -trace: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s\n", *tracePath)
 	}
 	if metrics != nil {
-		if err := writeTo(*metricsPath, metrics.WritePrometheus); err != nil {
+		if err := cliutil.WriteFileFunc(*metricsPath, metrics.WritePrometheus); err != nil {
 			fmt.Fprintf(os.Stderr, "faultbench: -metrics: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s\n", *metricsPath)
 	}
-}
-
-// writeTo streams an exporter into a freshly created file.
-func writeTo(path string, dump func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := dump(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

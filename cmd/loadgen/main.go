@@ -1,12 +1,14 @@
 // Command loadgen drives a running gossipd with an open-loop request
-// stream and records the serving layer's latency and cache behaviour to a
-// JSON benchmark record (BENCH_serve.json).
+// stream and checks the serving layer's cache behaviour: the serve-smoke
+// gate of `make check`. The serving benchmark itself is perfbench's serve
+// workload (perfbench/, `bash perfbench/run.sh`), which splits client
+// latency into server stages; loadgen writes no serve record.
 //
 // Arrivals are open-loop: requests fire on a fixed schedule of 1/rate
 // seconds regardless of how fast earlier requests complete, the arrival
 // model of a server facing independent clients (a closed loop would hide
 // overload by slowing down with the server). Each arrival asks for the hot
-// topology with probability -hot, otherwise one of -cold-keys distinct
+// topology with probability 0.9, otherwise one of -cold-keys distinct
 // random topologies in round-robin — hot requests exercise the cache hit
 // path, cold ones force constructions and, once the keys outnumber the
 // cache, evictions.
@@ -16,7 +18,7 @@
 // coalesced requests must match the plancache_* counters exactly (valid
 // when loadgen is the server's only client). With -assert it exits non-zero
 // on any mismatch, on a zero hit rate, or if a disconnected-network probe
-// fails to produce HTTP 422 — the serve-smoke gate of `make check`.
+// fails to produce HTTP 422.
 //
 // With -gossipd pointing at a server binary, loadgen instead runs the
 // store/failover benchmark (see storebench.go): it spawns its own replica
@@ -37,64 +39,29 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 )
 
+// hotFraction is the share of arrivals that ask for the hot topology key.
+const hotFraction = 0.9
+
 type request struct {
-	status  int
-	source  string
-	latency time.Duration
-	planMS  float64
+	status int
+	source string
 }
 
-type quantiles struct {
-	P50 float64 `json:"p50"`
-	P90 float64 `json:"p90"`
-	P99 float64 `json:"p99"`
-	Max float64 `json:"max"`
-	N   int     `json:"n"`
-}
+// summary is one run's client log tallied against the server's counters.
+type summary struct {
+	requests, ok, rejected429, errors int
+	sources                           map[string]int
 
-type record struct {
-	Config struct {
-		URL      string  `json:"url"`
-		Duration string  `json:"duration"`
-		Rate     float64 `json:"rate_per_s"`
-		Hot      float64 `json:"hot_fraction"`
-		N        int     `json:"n"`
-		ColdKeys int     `json:"cold_keys"`
-		Seed     int64   `json:"seed"`
-	} `json:"config"`
-	Requests    int            `json:"requests"`
-	OK          int            `json:"ok"`
-	Rejected429 int            `json:"rejected_429"`
-	Errors      int            `json:"errors"`
-	HitRate     float64        `json:"hit_rate"`
-	Sources     map[string]int `json:"sources"`
-
-	LatencyMS     quantiles `json:"latency_ms"`
-	HitLatencyMS  quantiles `json:"hit_latency_ms"`
-	MissLatencyMS quantiles `json:"miss_latency_ms"`
-	// HotColdSpeedupP50 is the client-observed end-to-end p50 speedup of a
-	// cache-hit request over a cold construction of the same size.
-	HotColdSpeedupP50 float64 `json:"hot_cold_speedup_p50"`
-	// ServerPlanMS aggregates the server-reported in-handler plan times.
-	ServerHitPlanMS  quantiles `json:"server_hit_plan_ms"`
-	ServerMissPlanMS quantiles `json:"server_miss_plan_ms"`
-
-	Server struct {
-		Hits      int64 `json:"hits"`
-		Misses    int64 `json:"misses"`
-		DiskHits  int64 `json:"disk_hits"`
-		Coalesced int64 `json:"coalesced"`
-		Evictions int64 `json:"evictions"`
-		Entries   int64 `json:"entries"`
-	} `json:"server_counter_deltas"`
-	Reconciled bool `json:"reconciled"`
+	server struct {
+		hits, misses, diskHits, coalesced, evictions, entries int64
+	}
+	reconciled bool
 }
 
 func main() {
@@ -102,13 +69,10 @@ func main() {
 		url      = flag.String("url", "http://127.0.0.1:8423", "gossipd base URL")
 		duration = flag.Duration("duration", 5*time.Second, "load duration")
 		rate     = flag.Float64("rate", 100, "open-loop arrival rate, requests/second")
-		hot      = flag.Float64("hot", 0.9, "fraction of requests for the hot topology key")
 		n        = flag.Int("n", 1024, "processor count for every requested topology")
 		coldKeys = flag.Int("cold-keys", 64, "distinct cold topology keys cycled round-robin")
 		seed     = flag.Int64("seed", 1, "arrival-mix seed")
-		out      = flag.String("out", "BENCH_serve.json", "output record path (\"-\" or /dev/null for none)")
 		assert   = flag.Bool("assert", false, "exit non-zero unless hit rate > 0, counters reconcile, and the 422 probe passes")
-		minSpeed = flag.Float64("min-speedup", 0, "with -assert, minimum hot/cold p50 speedup required (0 disables)")
 		ready    = flag.Duration("ready", 10*time.Second, "how long to wait for the server to become healthy")
 
 		// Store/failover benchmark mode: loadgen spawns its own replica
@@ -173,7 +137,7 @@ func main() {
 	)
 	for now := time.Now(); now.Before(deadline); now = time.Now() {
 		body := map[string]any{"topology": "ring", "n": *n}
-		if rng.Float64() >= *hot {
+		if rng.Float64() >= hotFraction {
 			// Cold key: a distinct random topology. The seed picks the edge
 			// set, so seed k is the same network — and the same fingerprint —
 			// every time it comes around.
@@ -197,48 +161,36 @@ func main() {
 		fatal(err)
 	}
 
-	rec := summarize(log)
-	rec.Config.URL = *url
-	rec.Config.Duration = duration.String()
-	rec.Config.Rate = *rate
-	rec.Config.Hot = *hot
-	rec.Config.N = *n
-	rec.Config.ColdKeys = *coldKeys
-	rec.Config.Seed = *seed
-	rec.Server.Hits = final["plancache_hits_total"] - base["plancache_hits_total"]
-	rec.Server.Misses = final["plancache_misses_total"] - base["plancache_misses_total"]
-	rec.Server.DiskHits = final["plancache_disk_hits_total"] - base["plancache_disk_hits_total"]
-	rec.Server.Coalesced = final["plancache_coalesced_total"] - base["plancache_coalesced_total"]
-	rec.Server.Evictions = final["plancache_evictions_total"] - base["plancache_evictions_total"]
-	rec.Server.Entries = final["plancache_entries"] - base["plancache_entries"]
+	sum := summarize(log)
+	sum.server.hits = final["plancache_hits_total"] - base["plancache_hits_total"]
+	sum.server.misses = final["plancache_misses_total"] - base["plancache_misses_total"]
+	sum.server.diskHits = final["plancache_disk_hits_total"] - base["plancache_disk_hits_total"]
+	sum.server.coalesced = final["plancache_coalesced_total"] - base["plancache_coalesced_total"]
+	sum.server.evictions = final["plancache_evictions_total"] - base["plancache_evictions_total"]
+	sum.server.entries = final["plancache_entries"] - base["plancache_entries"]
 	// An entry is resident iff something materialised it (a construction or
 	// a disk load) and it has not been evicted since.
-	rec.Reconciled = rec.Server.Hits == int64(rec.Sources["hit"]) &&
-		rec.Server.Misses == int64(rec.Sources["miss"]) &&
-		rec.Server.DiskHits == int64(rec.Sources["disk"]) &&
-		rec.Server.Coalesced == int64(rec.Sources["coalesced"]) &&
-		rec.Server.Entries == rec.Server.Misses+rec.Server.DiskHits-rec.Server.Evictions
+	sum.reconciled = sum.server.hits == int64(sum.sources["hit"]) &&
+		sum.server.misses == int64(sum.sources["miss"]) &&
+		sum.server.diskHits == int64(sum.sources["disk"]) &&
+		sum.server.coalesced == int64(sum.sources["coalesced"]) &&
+		sum.server.entries == sum.server.misses+sum.server.diskHits-sum.server.evictions
 
-	if *out != "" && *out != "-" && *out != "/dev/null" {
-		data, _ := json.MarshalIndent(rec, "", "  ")
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
+	hitRate := 0.0
+	if sum.ok > 0 {
+		hitRate = float64(sum.sources["hit"]) / float64(sum.ok)
 	}
-	fmt.Printf("loadgen: %d requests (%d ok, %d shed, %d errors), hit rate %.3f, p50 %.2fms p99 %.2fms, hot/cold p50 speedup %.1fx, reconciled=%v\n",
-		rec.Requests, rec.OK, rec.Rejected429, rec.Errors, rec.HitRate,
-		rec.LatencyMS.P50, rec.LatencyMS.P99, rec.HotColdSpeedupP50, rec.Reconciled)
+	fmt.Printf("loadgen: %d requests (%d ok, %d shed, %d errors), hit rate %.3f, sources %v, %d evictions, reconciled=%v\n",
+		sum.requests, sum.ok, sum.rejected429, sum.errors, hitRate, sum.sources, sum.server.evictions, sum.reconciled)
 
 	if *assert {
 		switch {
-		case rec.OK == 0:
+		case sum.ok == 0:
 			fatal(fmt.Errorf("no successful requests"))
-		case rec.Sources["hit"] == 0:
-			fatal(fmt.Errorf("zero cache hits across %d requests", rec.Requests))
-		case !rec.Reconciled:
-			fatal(fmt.Errorf("client log and server counters disagree: client %v, server %+v", rec.Sources, rec.Server))
-		case *minSpeed > 0 && rec.HotColdSpeedupP50 < *minSpeed:
-			fatal(fmt.Errorf("hot/cold p50 speedup %.1fx below the required %.1fx", rec.HotColdSpeedupP50, *minSpeed))
+		case sum.sources["hit"] == 0:
+			fatal(fmt.Errorf("zero cache hits across %d requests", sum.requests))
+		case !sum.reconciled:
+			fatal(fmt.Errorf("client log and server counters disagree: client %v, server %+v", sum.sources, sum.server))
 		}
 	}
 }
@@ -280,21 +232,18 @@ func probeDisconnected(c *http.Client, url string) error {
 
 func fire(c *http.Client, url string, body map[string]any) request {
 	data, _ := json.Marshal(body)
-	begin := time.Now()
 	resp, err := c.Post(url+"/plan", "application/json", bytes.NewReader(data))
 	if err != nil {
-		return request{status: -1, latency: time.Since(begin)}
+		return request{status: -1}
 	}
 	defer resp.Body.Close()
-	r := request{status: resp.StatusCode, latency: time.Since(begin)}
+	r := request{status: resp.StatusCode}
 	if resp.StatusCode == http.StatusOK {
 		var pr struct {
-			Source string  `json:"source"`
-			PlanMS float64 `json:"plan_ms"`
+			Source string `json:"source"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&pr); err == nil {
 			r.source = pr.Source
-			r.planMS = pr.PlanMS
 		}
 	} else {
 		io.Copy(io.Discard, resp.Body)
@@ -329,63 +278,18 @@ func scrape(c *http.Client, url string) (map[string]int64, error) {
 	return out, nil
 }
 
-func summarize(log []request) record {
-	rec := record{Sources: map[string]int{}}
-	rec.Requests = len(log)
-	var all, hits, misses []time.Duration
-	var hitPlan, missPlan []float64
+func summarize(log []request) summary {
+	sum := summary{requests: len(log), sources: map[string]int{}}
 	for _, r := range log {
-		switch {
-		case r.status == http.StatusOK:
-			rec.OK++
-			rec.Sources[r.source]++
-			all = append(all, r.latency)
-			switch r.source {
-			case "hit":
-				hits = append(hits, r.latency)
-				hitPlan = append(hitPlan, r.planMS)
-			case "miss":
-				misses = append(misses, r.latency)
-				missPlan = append(missPlan, r.planMS)
-			}
-		case r.status == http.StatusTooManyRequests:
-			rec.Rejected429++
+		switch r.status {
+		case http.StatusOK:
+			sum.ok++
+			sum.sources[r.source]++
+		case http.StatusTooManyRequests:
+			sum.rejected429++
 		default:
-			rec.Errors++
+			sum.errors++
 		}
 	}
-	if rec.OK > 0 {
-		rec.HitRate = float64(rec.Sources["hit"]) / float64(rec.OK)
-	}
-	rec.LatencyMS = quantileMS(all)
-	rec.HitLatencyMS = quantileMS(hits)
-	rec.MissLatencyMS = quantileMS(misses)
-	rec.ServerHitPlanMS = quantileF(hitPlan)
-	rec.ServerMissPlanMS = quantileF(missPlan)
-	if rec.HitLatencyMS.P50 > 0 {
-		rec.HotColdSpeedupP50 = rec.MissLatencyMS.P50 / rec.HitLatencyMS.P50
-	}
-	return rec
-}
-
-func quantileMS(ds []time.Duration) quantiles {
-	fs := make([]float64, len(ds))
-	for i, d := range ds {
-		fs[i] = float64(d.Microseconds()) / 1000
-	}
-	return quantileF(fs)
-}
-
-func quantileF(fs []float64) quantiles {
-	q := quantiles{N: len(fs)}
-	if len(fs) == 0 {
-		return q
-	}
-	sort.Float64s(fs)
-	at := func(p float64) float64 {
-		i := int(p * float64(len(fs)-1))
-		return fs[i]
-	}
-	q.P50, q.P90, q.P99, q.Max = at(0.50), at(0.90), at(0.99), fs[len(fs)-1]
-	return q
+	return sum
 }

@@ -28,6 +28,8 @@ import (
 	"sync"
 	"syscall"
 	"time"
+
+	"multigossip/internal/cliutil"
 )
 
 type storeBenchConfig struct {
@@ -63,6 +65,7 @@ type tailQuantiles struct {
 
 // storeRecord is the BENCH_store.json shape.
 type storeRecord struct {
+	cliutil.Env
 	Config struct {
 		Replicas    int     `json:"replicas"`
 		ColdKeys    int     `json:"cold_keys"`
@@ -163,7 +166,8 @@ func runStoreBench(cfg storeBenchConfig) error {
 	defer killAll(reps)
 
 	keys := benchKeys(cfg.coldKeys, cfg.n)
-	var rec storeRecord
+	rec := storeRecord{Env: cliutil.NewEnv("cmd/loadgen",
+		"store/failover: cold construction vs warm start from disk after SIGKILL, and client success through a replica kill and restart")}
 	rec.Config.Replicas = cfg.replicas
 	rec.Config.ColdKeys = cfg.coldKeys
 	rec.Config.N = cfg.n
@@ -226,8 +230,7 @@ func runStoreBench(cfg storeBenchConfig) error {
 	}
 
 	if cfg.out != "" && cfg.out != "-" && cfg.out != "/dev/null" {
-		data, _ := json.MarshalIndent(rec, "", "  ")
-		if err := os.WriteFile(cfg.out, append(data, '\n'), 0o644); err != nil {
+		if err := cliutil.WriteRecord(cfg.out, rec); err != nil {
 			return err
 		}
 	}

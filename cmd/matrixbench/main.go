@@ -18,20 +18,17 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
-	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"multigossip"
 	"multigossip/internal/algebraic"
 	"multigossip/internal/algo"
+	"multigossip/internal/cliutil"
 	"multigossip/internal/graph"
 )
 
@@ -64,10 +61,7 @@ type cell struct {
 }
 
 type report struct {
-	Tool        string   `json:"tool"`
-	Benchmark   string   `json:"benchmark"`
-	GoVersion   string   `json:"go_version"`
-	NumCPU      int      `json:"num_cpu"`
+	cliutil.Env
 	LossRate    float64  `json:"loss_rate"`
 	Algorithms  []string `json:"algorithms"`
 	Topologies  []string `json:"topologies"`
@@ -177,20 +171,16 @@ func run(info multigossip.AlgorithmInfo, kind, fm string, n int) (cell, error) {
 func main() {
 	out := flag.String("out", "BENCH_matrix.json", "output path for the perf record")
 	sizes := flag.String("sizes", "16,36,64", "comma-separated processor counts (squares keep the grid square)")
-	smoke := flag.Bool("smoke", false, "small sizes, no record written unless -out is set explicitly")
+	smoke := flag.Bool("smoke", false, "small sizes (9,16 unless -sizes is set); asserts every cell and writes no record")
 	flag.Parse()
 
 	if *smoke && *sizes == "16,36,64" {
 		*sizes = "9,16"
 	}
-	var ns []int
-	for _, f := range strings.Split(*sizes, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 4 {
-			fmt.Fprintf(os.Stderr, "matrixbench: bad size %q (want integers >= 4)\n", f)
-			os.Exit(2)
-		}
-		ns = append(ns, n)
+	ns, err := cliutil.ParseSizes(*sizes, 4)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "matrixbench: %v\n", err)
+		os.Exit(2)
 	}
 
 	topologies := []string{"ring", "grid", "random"}
@@ -198,10 +188,7 @@ func main() {
 	infos := multigossip.Algorithms()
 
 	rep := report{
-		Tool:        "cmd/matrixbench",
-		Benchmark:   "algorithm portfolio scenario matrix: registered rounds-bound assertion per cell",
-		GoVersion:   runtime.Version(),
-		NumCPU:      runtime.NumCPU(),
+		Env:         cliutil.NewEnv("cmd/matrixbench", "algorithm portfolio scenario matrix: registered rounds-bound assertion per cell"),
 		LossRate:    lossRate,
 		Topologies:  topologies,
 		FaultModels: faultModels,
@@ -248,12 +235,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "matrixbench: facade and registry disagree on algorithm count")
 		os.Exit(1)
 	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
+	if err := cliutil.WriteRecord(*out, rep); err != nil {
 		fmt.Fprintf(os.Stderr, "matrixbench: %v\n", err)
 		os.Exit(1)
 	}

@@ -15,13 +15,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 
+	"multigossip/internal/cliutil"
 	"multigossip/internal/core"
 	"multigossip/internal/fault"
 	"multigossip/internal/graph"
@@ -40,15 +39,12 @@ type caseRecord struct {
 }
 
 type report struct {
-	Tool       string       `json:"tool"`
-	Benchmark  string       `json:"benchmark"`
-	Topology   string       `json:"topology"`
-	N          int          `json:"n"`
-	Rounds     int          `json:"rounds"`
-	LossRate   float64      `json:"loss_rate"`
-	GoMaxProcs int          `json:"gomaxprocs"`
-	GoVersion  string       `json:"go_version"`
-	Cases      []caseRecord `json:"cases"`
+	cliutil.Env
+	Topology string       `json:"topology"`
+	N        int          `json:"n"`
+	Rounds   int          `json:"rounds"`
+	LossRate float64      `json:"loss_rate"`
+	Cases    []caseRecord `json:"cases"`
 }
 
 func bench(name string, baseline int64, f func()) caseRecord {
@@ -86,14 +82,11 @@ func main() {
 	inj := fault.LinkLoss{P: *loss, Seed: 42}
 
 	rep := report{
-		Tool:       "cmd/obsbench",
-		Benchmark:  "observability overhead on the fault executor and the schedule validator",
-		Topology:   "ring",
-		N:          *n,
-		Rounds:     s.Time(),
-		LossRate:   *loss,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
+		Env:      cliutil.NewEnv("cmd/obsbench", "observability overhead on the fault executor and the schedule validator"),
+		Topology: "ring",
+		N:        *n,
+		Rounds:   s.Time(),
+		LossRate: *loss,
 	}
 
 	// Fault executor family. Every traced case reuses one long-lived sink,
@@ -147,12 +140,7 @@ func main() {
 		fmt.Printf("%-22s %14d %10d %12d %9.2f%%\n", c.Name, c.NsOp, c.AllocsOp, c.BytesOp, 100*c.OverheadVsUntraced)
 	}
 
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
+	if err := cliutil.WriteRecord(*out, rep); err != nil {
 		fmt.Fprintf(os.Stderr, "obsbench: %v\n", err)
 		os.Exit(1)
 	}

@@ -35,18 +35,15 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"reflect"
-	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
+	"multigossip/internal/cliutil"
 	"multigossip/internal/core"
 	"multigossip/internal/graph"
 	"multigossip/internal/implicit"
@@ -82,39 +79,9 @@ type bigRecord struct {
 }
 
 type report struct {
-	Tool         string      `json:"tool"`
-	Benchmark    string      `json:"benchmark"`
-	GoMaxProcs   int         `json:"gomaxprocs"`
-	NumCPU       int         `json:"num_cpu"`
-	GoVersion    string      `json:"go_version"`
+	cliutil.Env
 	Cases        []record    `json:"cases"`
 	ImplicitOnly []bigRecord `json:"implicit_only"`
-}
-
-func buildGraph(kind string, n int) *graph.Graph {
-	switch kind {
-	case "ring":
-		return graph.Cycle(n)
-	case "grid":
-		side := int(math.Sqrt(float64(n)))
-		return graph.Grid(side, side)
-	case "random":
-		rng := rand.New(rand.NewSource(int64(n)))
-		return graph.RandomConnected(rng, n, 8/float64(n))
-	}
-	panic("unknown topology " + kind)
-}
-
-// randomRecursiveParents is the -big tree generator: vertex i attaches to a
-// uniform earlier vertex, giving expected height Θ(log n) so the schedule
-// length stays near the paper's n + r bound with small r.
-func randomRecursiveParents(rng *rand.Rand, n int) []int {
-	parent := make([]int, n)
-	parent[0] = -1
-	for i := 1; i < n; i++ {
-		parent[i] = rng.Intn(i)
-	}
-	return parent
 }
 
 // materialisedBytes applies the cache accounting to a schedule: the round
@@ -156,7 +123,7 @@ func equalRound(got, want []schedule.Transmission) bool {
 }
 
 func measure(kind string, n, reps int) record {
-	g := buildGraph(kind, n)
+	g := cliutil.BenchGraph(kind, n)
 	tree, err := spantree.MinDepth(g)
 	if err != nil {
 		panic(err)
@@ -238,7 +205,7 @@ func measure(kind string, n, reps int) record {
 
 func measureBig(n int) bigRecord {
 	rng := rand.New(rand.NewSource(int64(n)))
-	parent := randomRecursiveParents(rng, n)
+	parent := cliutil.RandomRecursiveParents(rng, n)
 	var plan *implicit.Plan
 	buildNs := best(1, func() {
 		plan = implicit.New(spantree.Label(spantree.MustFromParents(parent)))
@@ -330,23 +297,6 @@ func treeParentsInOriginalIDs(l *spantree.Labeled) []int {
 	return parent
 }
 
-func parseSizes(flagName, val string) []int {
-	var ns []int
-	for _, f := range strings.Split(val, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "planbench: bad -%s value %q\n", flagName, f)
-			os.Exit(2)
-		}
-		ns = append(ns, n)
-	}
-	return ns
-}
-
 func main() {
 	out := flag.String("out", "BENCH_plan.json", "output path for the perf record")
 	sizes := flag.String("sizes", "1024,4096", "comma-separated vertex counts for the implicit-vs-materialised comparison")
@@ -362,17 +312,22 @@ func main() {
 		return
 	}
 
-	rep := report{
-		Tool:       "cmd/planbench",
-		Benchmark:  "implicit O(n) plan encoding vs materialised O(n²) schedule: bytes, construction, first-round latency, per-round enumeration (closed form vs cursor)",
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		GoVersion:  runtime.Version(),
+	ns, err := cliutil.ParseSizes(*sizes, 1)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "planbench: -sizes: %v\n", err)
+		os.Exit(2)
 	}
+	bigNs, err := cliutil.ParseSizes(*big, 1)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "planbench: -big: %v\n", err)
+		os.Exit(2)
+	}
+	rep := report{Env: cliutil.NewEnv("cmd/planbench",
+		"implicit O(n) plan encoding vs materialised O(n²) schedule: bytes, construction, first-round latency, per-round enumeration (closed form vs cursor)")}
 	fmt.Printf("%-8s %7s %7s %12s %14s %8s %13s %13s %12s %14s %12s %10s\n",
 		"topology", "n", "rounds", "impl bytes", "mat bytes", "ratio", "impl build", "mat build", "impl rd0", "mat rd0", "closed/rd", "cursor/rd")
 	for _, kind := range []string{"ring", "grid", "random"} {
-		for _, n := range parseSizes("sizes", *sizes) {
+		for _, n := range ns {
 			reps := 3
 			if n > 2048 {
 				reps = 1
@@ -385,19 +340,14 @@ func main() {
 				r.RoundAppendNsPerRound, r.CursorNsPerRound)
 		}
 	}
-	for _, n := range parseSizes("big", *big) {
+	for _, n := range bigNs {
 		r := measureBig(n)
 		rep.ImplicitOnly = append(rep.ImplicitOnly, r)
 		fmt.Printf("implicit-only n=%-8d %12d B (%.1f B/vertex)  build %-12s first round %s\n",
 			r.N, r.ImplicitBytes, r.BytesPerVertex, time.Duration(r.BuildNs), time.Duration(r.FirstRoundNs))
 	}
 
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
+	if err := cliutil.WriteRecord(*out, rep); err != nil {
 		fmt.Fprintf(os.Stderr, "planbench: %v\n", err)
 		os.Exit(1)
 	}

@@ -27,15 +27,14 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"sort"
 	"time"
 
+	"multigossip/internal/cliutil"
 	"multigossip/internal/graph"
 	"multigossip/internal/implicit"
 	"multigossip/internal/schedule"
@@ -62,12 +61,8 @@ type record struct {
 }
 
 type report struct {
-	Tool       string   `json:"tool"`
-	Benchmark  string   `json:"benchmark"`
-	GoMaxProcs int      `json:"gomaxprocs"`
-	NumCPU     int      `json:"num_cpu"`
-	GoVersion  string   `json:"go_version"`
-	Cases      []record `json:"cases"`
+	cliutil.Env
+	Cases []record `json:"cases"`
 }
 
 // starParents and karyParents build the bench trees directly as parent
@@ -87,17 +82,6 @@ func karyParents(n, k int) []int {
 	parent[0] = -1
 	for i := 1; i < n; i++ {
 		parent[i] = (i - 1) / k
-	}
-	return parent
-}
-
-// randomRecursiveParents attaches vertex i to a uniform earlier vertex:
-// expected height Θ(log n), the planbench -big generator.
-func randomRecursiveParents(rng *rand.Rand, n int) []int {
-	parent := make([]int, n)
-	parent[0] = -1
-	for i := 1; i < n; i++ {
-		parent[i] = rng.Intn(i)
 	}
 	return parent
 }
@@ -263,13 +247,8 @@ func main() {
 		return
 	}
 
-	rep := report{
-		Tool:       "cmd/simbench",
-		Benchmark:  "sharded event-loop simulator: online ConcurrentUpDown as packed per-node state machines",
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		GoVersion:  runtime.Version(),
-	}
+	rep := report{Env: cliutil.NewEnv("cmd/simbench",
+		"sharded event-loop simulator: online ConcurrentUpDown as packed per-node state machines")}
 	add := func(r record) {
 		rep.Cases = append(rep.Cases, r)
 		fmt.Printf("%-5s %-16s n=%-8d rounds=%-8d %10.0f rounds/sec  %7.1f ns/node-event  (folded %d of %d deliveries, %s)\n",
@@ -286,22 +265,17 @@ func main() {
 	// Exact runs: folding off, every point delivery individually simulated.
 	for _, n := range []int{16_384, 32_768} {
 		rng := rand.New(rand.NewSource(int64(n)))
-		add(runCase("random-recursive", planFor(randomRecursiveParents(rng, n)), sim.Options{Fold: sim.FoldOff}))
+		add(runCase("random-recursive", planFor(cliutil.RandomRecursiveParents(rng, n)), sim.Options{Fold: sim.FoldOff}))
 	}
 
 	// Async event-driven runs under a uniform latency model.
 	for _, n := range []int{4096, 16_384} {
 		rng := rand.New(rand.NewSource(int64(n)))
-		p := planFor(randomRecursiveParents(rng, n))
+		p := planFor(cliutil.RandomRecursiveParents(rng, n))
 		add(runCase("random-recursive", p, sim.Options{Async: true, Latency: sim.Uniform(4, uint64(n))}))
 	}
 
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
+	if err := cliutil.WriteRecord(*out, rep); err != nil {
 		fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
 		os.Exit(1)
 	}

@@ -3,10 +3,9 @@
 // machine-readable perf record (BENCH_sweep.json by default).
 //
 // For every topology in {ring, grid, random} and every size in -sizes, at
-// GOMAXPROCS 1 and at runtime.NumCPU() (the sweep fans roots over a worker
-// pool, so a 1-CPU record says nothing about the pool), it times the naive
-// loop (a BFS spanning tree from every root, kept if shallower) and the
-// pruned parallel sweep behind spantree.MinDepth, and
+// GOMAXPROCS 1 and at runtime.NumCPU() (cliutil.ForEachGOMAXPROCS), it
+// times the naive loop (a BFS spanning tree from every root, kept if
+// shallower) and the pruned parallel sweep behind spantree.MinDepth, and
 // reports the engine's observability counters: traversals completed, roots
 // pruned by eccentricity lower bounds, traversals short-circuited by the
 // best-height cutoff, and the steady-state allocations per traversal of the
@@ -20,17 +19,13 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
-	"math/rand"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"testing"
 
+	"multigossip/internal/cliutil"
 	"multigossip/internal/graph"
 	"multigossip/internal/obs"
 	"multigossip/internal/spantree"
@@ -55,25 +50,8 @@ type record struct {
 }
 
 type report struct {
-	Tool      string   `json:"tool"`
-	Benchmark string   `json:"benchmark"`
-	NumCPU    int      `json:"num_cpu"`
-	GoVersion string   `json:"go_version"`
-	Cases     []record `json:"cases"`
-}
-
-func buildGraph(kind string, n int) *graph.Graph {
-	switch kind {
-	case "ring":
-		return graph.Cycle(n)
-	case "grid":
-		side := int(math.Sqrt(float64(n)))
-		return graph.Grid(side, side)
-	case "random":
-		rng := rand.New(rand.NewSource(int64(n)))
-		return graph.RandomConnected(rng, n, 8/float64(n))
-	}
-	panic("unknown topology " + kind)
+	cliutil.Env
+	Cases []record `json:"cases"`
 }
 
 // naiveMinDepth is the pre-engine O(nm) reference construction.
@@ -92,7 +70,7 @@ func naiveMinDepth(g *graph.Graph) *spantree.Tree {
 }
 
 func measure(kind string, n int, tracer *obs.Tracer) record {
-	g := buildGraph(kind, n)
+	g := cliutil.BenchGraph(kind, n)
 	span := func(stage string, f func()) {
 		if tracer != nil {
 			name := fmt.Sprintf("%s %s n=%d procs=%d", stage, kind, n, runtime.GOMAXPROCS(0))
@@ -168,14 +146,10 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON timeline of the benchmark stages to this path")
 	flag.Parse()
 
-	var ns []int
-	for _, f := range strings.Split(*sizes, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "sweepbench: bad size %q\n", f)
-			os.Exit(2)
-		}
-		ns = append(ns, n)
+	ns, err := cliutil.ParseSizes(*sizes, 1)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweepbench: %v\n", err)
+		os.Exit(2)
 	}
 
 	var tracer *obs.Tracer
@@ -183,51 +157,30 @@ func main() {
 		tracer = obs.NewTracer()
 	}
 
-	rep := report{
-		Tool:      "cmd/sweepbench",
-		Benchmark: "spantree.MinDepth: sequential-naive n-BFS loop vs parallel pruned sweep engine",
-		NumCPU:    runtime.NumCPU(),
-		GoVersion: runtime.Version(),
-	}
-	procs := []int{1}
-	if runtime.NumCPU() > 1 {
-		procs = append(procs, runtime.NumCPU())
-	}
+	rep := report{Env: cliutil.NewEnv("cmd/sweepbench",
+		"spantree.MinDepth: sequential-naive n-BFS loop vs parallel pruned sweep engine")}
 	fmt.Printf("%-8s %6s %7s %5s %14s %14s %8s %10s %8s %8s %8s\n",
 		"topology", "n", "m", "procs", "naive ns/op", "pruned ns/op", "speedup", "completed", "pruned", "short", "allocs/t")
 	for _, kind := range []string{"ring", "grid", "random"} {
 		for _, n := range ns {
-			for _, p := range procs {
-				runtime.GOMAXPROCS(p)
+			cliutil.ForEachGOMAXPROCS(func() {
 				r := measure(kind, n, tracer)
 				rep.Cases = append(rep.Cases, r)
 				fmt.Printf("%-8s %6d %7d %5d %14d %14d %7.2fx %10d %8d %8d %8.4f\n",
 					r.Topology, r.N, r.M, r.GoMaxProcs, r.NaiveNsOp, r.PrunedNsOp, r.Speedup,
 					r.RootsCompleted, r.RootsPruned, r.RootsShortCircuited, r.AllocsPerTraversal)
-			}
+			})
 		}
 	}
 
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
+	if err := cliutil.WriteRecord(*out, rep); err != nil {
 		fmt.Fprintf(os.Stderr, "sweepbench: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s\n", *out)
 
 	if tracer != nil {
-		f, err := os.Create(*tracePath)
-		if err == nil {
-			err = tracer.WriteChromeTrace(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := cliutil.WriteFileFunc(*tracePath, tracer.WriteChromeTrace); err != nil {
 			fmt.Fprintf(os.Stderr, "sweepbench: -trace: %v\n", err)
 			os.Exit(1)
 		}

@@ -1,6 +1,8 @@
-// Package cliutil holds the topology construction shared by the command
-// line tools (cmd/gossip, cmd/verify): named generator families plus
-// loading custom networks from edge-list files.
+// Package cliutil holds what the command line tools share: topology
+// construction for cmd/gossip, cmd/verify and gossipd (named generator
+// families plus custom networks from edge-list files), and the record
+// writer, environment header and bench topologies of the cmd/*bench
+// drivers and cmd/loadgen (record.go).
 package cliutil
 
 import (

@@ -21,17 +21,18 @@ type Plan struct {
 	// Schedule is the contracted schedule on the original n processors,
 	// with NMsg = total message count; message m originates at MsgOwner[m].
 	Schedule *schedule.Schedule
-	// Expanded is the full ConcurrentUpDown schedule on the chain-expanded
-	// network, kept for inspection; Schedule is its contraction.
-	Expanded *schedule.Schedule
+	// ExpandedRounds is the total time of the ConcurrentUpDown schedule on
+	// the chain-expanded network, TotalMessages + ExpandedRadius by
+	// Theorem 1. That schedule is streamed into the contraction, never
+	// stored: it is Θ(N²) for N total messages.
+	ExpandedRounds int
 	// ExpandedGraph is the chain-expanded network.
 	ExpandedGraph *graph.Graph
 	// MsgOwner maps each message to the real processor owning it initially.
 	MsgOwner []int
 	// TotalMessages is the sum of all counts.
 	TotalMessages int
-	// ExpandedRadius is the radius of the expanded network; the expanded
-	// schedule has total time TotalMessages + ExpandedRadius.
+	// ExpandedRadius is the radius of the expanded network.
 	ExpandedRadius int
 	// Sweep records the root-sweep work of the expanded network's
 	// minimum-depth spanning tree.
@@ -59,7 +60,9 @@ func OwnerHolds(n int, owner []int) []*schedule.Bitset {
 // initially holds counts[v] messages. It expands each processor into a
 // chain, runs the paper's ConcurrentUpDown pipeline on the expansion
 // (total time N + R for N total messages and expanded radius R), and
-// contracts the schedule back to the real processors.
+// contracts the schedule back to the real processors. The expanded
+// schedule is read round by round from the implicit plan's cursor, so
+// planning holds O(N) expansion state plus the contracted schedule.
 func Gossip(g *graph.Graph, counts []int) (*Plan, error) {
 	n := g.N()
 	if n == 0 {
@@ -98,21 +101,26 @@ func Gossip(g *graph.Graph, counts []int) (*Plan, error) {
 		}
 	}
 
-	res, err := core.Gossip(expanded, core.ConcurrentUpDown)
+	imp, sweep, err := core.GossipImplicit(expanded)
 	if err != nil {
 		return nil, fmt.Errorf("weighted: expanded pipeline: %w", err)
 	}
 
 	// Contraction: keep only transmissions from a real processor, filtered
 	// to real destinations; everything chain-internal is mimicked (the real
-	// processor already holds its whole message set).
+	// processor already holds its whole message set). The cursor emits
+	// original (expanded) vertex ids, in the materialised builder's order.
 	contracted := schedule.NewWithMessages(n, total)
-	for t, round := range res.Schedule.Rounds {
+	cur := imp.Cursor()
+	var round []schedule.Transmission
+	var dests []int
+	for t := 0; t < imp.Rounds(); t++ {
+		round = cur.RoundAppend(t, round[:0])
 		for _, tx := range round {
 			if tx.From >= n {
 				continue
 			}
-			var dests []int
+			dests = dests[:0]
 			for _, d := range tx.To {
 				if d < n {
 					dests = append(dests, d)
@@ -130,11 +138,11 @@ func Gossip(g *graph.Graph, counts []int) (*Plan, error) {
 
 	return &Plan{
 		Schedule:       contracted,
-		Expanded:       res.Schedule,
+		ExpandedRounds: imp.Rounds(),
 		ExpandedGraph:  expanded,
 		MsgOwner:       owner,
 		TotalMessages:  total,
-		ExpandedRadius: res.Radius,
-		Sweep:          res.Sweep,
+		ExpandedRadius: imp.Height(),
+		Sweep:          sweep,
 	}, nil
 }

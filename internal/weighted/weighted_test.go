@@ -1,6 +1,7 @@
 package weighted
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -28,6 +29,53 @@ func checkPlan(t *testing.T, g *graph.Graph, p *Plan) *schedule.Result {
 	return res
 }
 
+// checkOracle is the differential gate for the streamed expansion: the
+// contracted schedule must equal the contraction of the materialising
+// builder's expansion round by round, transmission order included, and
+// ExpandedRounds must equal that expansion's length, which it returns.
+func checkOracle(t *testing.T, name string, g *graph.Graph, p *Plan) *schedule.Schedule {
+	t.Helper()
+	res, err := core.Gossip(p.ExpandedGraph, core.ConcurrentUpDown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expanded := res.Schedule
+	if p.ExpandedRounds != expanded.Time() {
+		t.Fatalf("%s: ExpandedRounds %d, materialised expansion %d rounds", name, p.ExpandedRounds, expanded.Time())
+	}
+	if want := contract(expanded, g.N(), p.TotalMessages); !p.Schedule.Equal(want) {
+		t.Fatalf("%s: contraction differs from the materialised path\ngot  %v\nwant %v", name, p.Schedule, want)
+	}
+	return expanded
+}
+
+// contract is the contraction Gossip performs, applied to a materialised
+// expanded schedule: transmissions from real processors, filtered to real
+// destinations, trailing chain-only rounds dropped.
+func contract(expanded *schedule.Schedule, n, total int) *schedule.Schedule {
+	contracted := schedule.NewWithMessages(n, total)
+	for tt, round := range expanded.Rounds {
+		for _, tx := range round {
+			if tx.From >= n {
+				continue
+			}
+			var dests []int
+			for _, d := range tx.To {
+				if d < n {
+					dests = append(dests, d)
+				}
+			}
+			if len(dests) > 0 {
+				contracted.AddSend(tt, tx.Msg, tx.From, dests...)
+			}
+		}
+	}
+	for len(contracted.Rounds) > 0 && len(contracted.Rounds[len(contracted.Rounds)-1]) == 0 {
+		contracted.Rounds = contracted.Rounds[:len(contracted.Rounds)-1]
+	}
+	return contracted
+}
+
 func TestUnitCountsMatchBasicGossip(t *testing.T) {
 	// counts all 1: the contraction is the plain ConcurrentUpDown schedule.
 	g := graph.Cycle(7)
@@ -38,7 +86,7 @@ func TestUnitCountsMatchBasicGossip(t *testing.T) {
 	if p.TotalMessages != 7 {
 		t.Fatalf("TotalMessages = %d, want 7", p.TotalMessages)
 	}
-	if !p.Schedule.Equal(p.Expanded) {
+	if !p.Schedule.Equal(checkOracle(t, "unit cycle", g, p)) {
 		t.Fatal("unit-count contraction differs from expanded schedule")
 	}
 	checkPlan(t, g, p)
@@ -58,6 +106,7 @@ func TestWeightedOnSmallNetworks(t *testing.T) {
 		{"cycle", graph.Cycle(5), []int{3, 3, 3, 3, 3}},
 		{"petersen", graph.Petersen(), []int{1, 2, 1, 2, 1, 2, 1, 2, 1, 2}},
 		{"single", graph.New(1), []int{5}},
+		{"single unit", graph.New(1), []int{1}},
 	}
 	for _, c := range cases {
 		p, err := Gossip(c.g, c.counts)
@@ -71,13 +120,14 @@ func TestWeightedOnSmallNetworks(t *testing.T) {
 		if p.TotalMessages != total {
 			t.Fatalf("%s: total %d, want %d", c.name, p.TotalMessages, total)
 		}
+		expTime := checkOracle(t, c.name, c.g, p).Time()
 		if c.g.N() > 1 {
 			checkPlan(t, c.g, p)
 			// The expanded schedule obeys Theorem 1 on the expansion.
-			if want := total + p.ExpandedRadius; p.Expanded.Time() != want {
-				t.Fatalf("%s: expanded time %d, want %d", c.name, p.Expanded.Time(), want)
+			if want := total + p.ExpandedRadius; expTime != want {
+				t.Fatalf("%s: expanded time %d, want %d", c.name, expTime, want)
 			}
-			if p.Schedule.Time() > p.Expanded.Time() {
+			if p.Schedule.Time() > expTime {
 				t.Fatalf("%s: contraction longer than expansion", c.name)
 			}
 		}
@@ -108,6 +158,7 @@ func TestWeightedRandomized(t *testing.T) {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 		checkPlan(t, g, p)
+		checkOracle(t, fmt.Sprintf("iter %d n=%d counts %v", iter, n, counts), g, p)
 	}
 }
 
@@ -181,28 +232,7 @@ func TestWeightedOnlineEquivalence(t *testing.T) {
 		t.Fatal("online expanded run differs from offline")
 	}
 	// Contract the online run exactly as Gossip does and compare times.
-	n := g.N()
-	contracted := schedule.NewWithMessages(n, plan.TotalMessages)
-	remapped := core.RemapToOriginal(got, l)
-	for tt, round := range remapped.Rounds {
-		for _, tx := range round {
-			if tx.From >= n {
-				continue
-			}
-			var dests []int
-			for _, d := range tx.To {
-				if d < n {
-					dests = append(dests, d)
-				}
-			}
-			if len(dests) > 0 {
-				contracted.AddSend(tt, tx.Msg, tx.From, dests...)
-			}
-		}
-	}
-	for len(contracted.Rounds) > 0 && len(contracted.Rounds[len(contracted.Rounds)-1]) == 0 {
-		contracted.Rounds = contracted.Rounds[:len(contracted.Rounds)-1]
-	}
+	contracted := contract(core.RemapToOriginal(got, l), g.N(), plan.TotalMessages)
 	contracted.Normalize()
 	offline := plan.Schedule.Clone()
 	offline.Normalize()

@@ -42,7 +42,7 @@ func (nw *Network) PlanWeightedGossip(counts []int) (*WeightedPlan, error) {
 	if wp.TotalMessages > g.N() {
 		p.owners = wp.MsgOwner
 	}
-	return &WeightedPlan{plan: p, expandedRounds: wp.Expanded.Time()}, nil
+	return &WeightedPlan{plan: p, expandedRounds: wp.ExpandedRounds}, nil
 }
 
 // Rounds returns the contracted schedule's total communication time.
