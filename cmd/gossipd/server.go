@@ -196,12 +196,29 @@ func (s *server) fail(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, apiError{Error: err.Error()})
 }
 
-// bounded wraps a handler with admission control, the worker pool, the
-// per-request timeout, latency metering, and a panic barrier (a library
-// panic becomes a 500, never a dead server).
+// maxBodyBytes caps every request body. The largest body the tests, the
+// smokes and perfbench send is perfbench serve's cold miss, an edge list of
+// 512 processors at average degree 6 (14,800 bytes at seed 1), so the cap
+// leaves room for edge lists about 280 times that size.
+const maxBodyBytes = 4 << 20
+
+// bodyError classifies a failure to read or decode a request body: a body
+// over maxBodyBytes is a 413, anything else a 400.
+func bodyError(err error) (int, error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
+	}
+	return http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
+}
+
+// bounded wraps a handler with a request body cap, admission control, the
+// worker pool, the per-request timeout, latency metering, and a panic
+// barrier (a library panic becomes a 500, never a dead server).
 func (s *server) bounded(h func(w http.ResponseWriter, r *http.Request) (status int, err error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.reqs.Inc()
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		select {
 		case s.slots <- struct{}{}:
 			defer func() { <-s.slots }()
@@ -253,7 +270,7 @@ func (s *server) routed(h func(w http.ResponseWriter, r *http.Request) (int, err
 		}
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
-			return http.StatusBadRequest, fmt.Errorf("reading request body: %w", err)
+			return bodyError(err)
 		}
 		r.Body = io.NopCloser(bytes.NewReader(body))
 		var spec topologySpec
@@ -477,7 +494,7 @@ func (s *server) planFor(req planRequest) (*multigossip.Plan, planResponse, int,
 func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) (int, error) {
 	var req planRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
+		return bodyError(err)
 	}
 	plan, resp, status, err := s.planFor(req)
 	if err != nil {
@@ -570,7 +587,7 @@ type executeResponse struct {
 func (s *server) handleExecute(w http.ResponseWriter, r *http.Request) (int, error) {
 	var req executeRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
+		return bodyError(err)
 	}
 	plan, resp, status, err := s.planFor(req.planRequest)
 	if err != nil {
@@ -746,7 +763,7 @@ func (s *server) session(req mutateRequest) (sess *churnSession, created bool, s
 func (s *server) handleMutate(w http.ResponseWriter, r *http.Request) (int, error) {
 	var req mutateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
+		return bodyError(err)
 	}
 	if req.Session == "" {
 		return http.StatusBadRequest, errors.New("request names no session")

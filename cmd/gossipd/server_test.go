@@ -219,6 +219,45 @@ func TestOversizedEdgeListReturns422(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyReturns413: a body over maxBodyBytes is refused with a
+// 413 on every POST endpoint, standalone and in cluster mode, where the
+// router reads the whole body before any handler decodes it, and the server
+// stays up.
+func TestOversizedBodyReturns413(t *testing.T) {
+	_, standalone := testServer(t, serverConfig{})
+	_, _, peer, _ := clusterPair(t)
+	// A valid JSON prefix whose padding runs past the cap, so a decoder
+	// reads up to the cap instead of stopping at a syntax error.
+	body := `{"topology":"ring","n":16,"session":"big","pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for mode, ts := range map[string]*httptest.Server{"standalone": standalone, "peer": peer} {
+		for _, path := range []string{"/plan", "/execute", "/mutate"} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s %s: %v", mode, path, err)
+			}
+			data, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("%s %s: reading response: %v", mode, path, err)
+			}
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%s %s: status %d (%s), want 413", mode, path, resp.StatusCode, data)
+			}
+			if !strings.Contains(string(data), "exceeds") {
+				t.Fatalf("%s %s: error %q does not name the cap", mode, path, data)
+			}
+		}
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatalf("%s /healthz after oversized bodies: %v", mode, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s /healthz after oversized bodies: status %d", mode, resp.StatusCode)
+		}
+	}
+}
+
 // TestInvalidRequests maps the malformed-input space to 400s.
 func TestInvalidRequests(t *testing.T) {
 	_, ts := testServer(t, serverConfig{})

@@ -18,10 +18,11 @@ import (
 // that sweep once, well: roots fan out over a GOMAXPROCS worker pool, each
 // worker traverses a flat CSR snapshot with preallocated reusable scratch
 // (zero allocations per traversal after warm-up), and for minimum-seeking
-// sweeps roots are pruned with eccentricity lower bounds and abandoned
-// mid-traversal as soon as they provably lose to the best (eccentricity,
-// vertex) pair found so far. The Section 3.1 tree needs only the
-// lowest-numbered center, so its sweep (SweepCenter) also lets every root
+// sweeps roots are pruned with eccentricity lower bounds and abandoned at
+// the first level that proves they lose to the best (eccentricity, vertex)
+// pair found so far. Every traversal, abandoned or not, raises the lower
+// bounds in one vector all workers share. The Section 3.1 tree needs only
+// the lowest-numbered center, so its sweep (SweepCenter) also lets every root
 // numbered above the best center lose ties. On graphs whose BFS levels are
 // wide, minimum-seeking roots run 64 at a time through one bit-parallel
 // multi-source BFS (Then et al., "The More the Merrier", VLDB 2015), which
@@ -65,7 +66,9 @@ type SweepStats struct {
 	Pruned    int // roots skipped outright by the eccentricity lower bound
 	// ShortCircuited counts traversals abandoned once they provably lost:
 	// beyond the best eccentricity found so far, or, in SweepCenter mode,
-	// at it for a root numbered above the best center.
+	// at it for a root numbered above the best center. A scalar traversal
+	// is abandoned at a level boundary, and what it proved still raises
+	// the shared lower bounds.
 	ShortCircuited int
 	Workers        int // size of the worker pool the roots were fanned over
 
@@ -128,11 +131,12 @@ func newSweepScratch(n int) *sweepScratch {
 }
 
 // bfs traverses from src over the CSR snapshot. It returns the eccentricity
-// of src, the number of vertices reached, and ok = true. If cutoff is set
-// and some vertex is discovered at distance > cutoff, the traversal is
-// abandoned immediately with ok = false (ecc(src) > cutoff is then proven).
-// Neighbours are scanned in sorted order, preserving the deterministic
-// discovery order of the slice-based BFS.
+// of src, the number of vertices reached, and ok = true. If it dequeues a
+// vertex at distance > cutoff, it stops there and returns that distance,
+// cutoff + 1, with ok = false: ecc(src) > cutoff is then proven, and
+// queue[:reached] holds every vertex within distance cutoff + 1 of src,
+// each with its exact dist. Neighbours are scanned in sorted order,
+// preserving the deterministic discovery order of the slice-based BFS.
 func (s *sweepScratch) bfs(c *csr, src, cutoff int32) (ecc int32, reached int, ok bool) {
 	s.epoch++
 	if s.epoch == 0 { // wrapped: invalidate stale stamps once
@@ -147,13 +151,13 @@ func (s *sweepScratch) bfs(c *csr, src, cutoff int32) (ecc int32, reached int, o
 	for head := 0; head < len(q); head++ {
 		u := q[head]
 		du := s.dist[u]
+		if du > cutoff {
+			return du, len(q), false
+		}
 		for i := c.row[u]; i < c.row[u+1]; i++ {
 			v := c.col[i]
 			if s.mark[v] == e {
 				continue
-			}
-			if du+1 > cutoff {
-				return du + 1, len(q), false
 			}
 			s.mark[v] = e
 			s.dist[v] = du + 1
@@ -161,6 +165,27 @@ func (s *sweepScratch) bfs(c *csr, src, cutoff int32) (ecc int32, reached int, o
 		}
 	}
 	return s.dist[q[len(q)-1]], len(q), true
+}
+
+// refine raises the shared bounds lb with what the last traversal proved.
+// A traversal from u that reached depth l (ecc(u) when it completed,
+// cutoff + 1 when it was abandoned, so ecc(u) >= l either way) proves
+// ecc(w) >= max(d(u,w), l - d(u,w)) for every w it reached.
+func (s *sweepScratch) refine(lb []atomic.Int32, reached int, l int32) {
+	for _, w := range s.queue[:reached] {
+		d := s.dist[w]
+		raise(&lb[w], max(d, l-d))
+	}
+}
+
+// raise lifts the shared bound *b to x if x is larger. Bounds only grow,
+// so a stale read elsewhere is still a valid lower bound.
+func raise(b *atomic.Int32, x int32) {
+	for cur := b.Load(); x > cur; cur = b.Load() {
+		if b.CompareAndSwap(cur, x) {
+			return
+		}
+	}
 }
 
 // laneScratch is one worker's reusable state for 64-lane passes: bit i of
@@ -185,9 +210,11 @@ func newLaneScratch(n int) *laneScratch {
 // Sweep runs BFS traversals from every vertex and folds them according to
 // mode. It parallelises roots over runtime.GOMAXPROCS workers. In SweepMin
 // and SweepCenter modes it prunes roots with the lower bound ecc(v) >=
-// |ecc(u) - d(u,v)| (and ecc(v) >= d(u,v)) taken over completed traversals
-// — seeded by a double sweep from vertex 0 plus a probe of the approximate
-// center — and abandons a traversal as soon as its frontier depth exceeds
+// max(d(u,v), l - d(u,v)), where a traversal from u reached depth l, taken
+// over every traversal — the seeds (a double sweep from vertex 0 plus a
+// probe of the approximate center), the completed ones (l = ecc(u)) and the
+// abandoned ones (l = cutoff + 1 <= ecc(u)) — and held in one bound vector
+// all workers share. It abandons a traversal as soon as its depth exceeds
 // the root's cutoff: the best eccentricity r found so far, or r - 1 in
 // SweepCenter mode for a root numbered above the best center, which loses
 // ties. Remaining roots are handed out in index order, so a low-numbered
@@ -197,12 +224,14 @@ func newLaneScratch(n int) *laneScratch {
 // Despite the pruning and the nondeterministic traversal order, the
 // minimum-side answers are exact and deterministic. The shared best is the
 // lexicographically least (eccentricity, vertex) pair completed so far, so
-// it never passes the final (radius, center) pair. The final center, and in
-// SweepMin mode every vertex with eccentricity equal to the radius, can
-// therefore never be pruned (its bound would exceed its cutoff, which is
-// at least its eccentricity) nor abandoned (its frontier never exceeds that
-// cutoff), so it completes and Radius/Center (and SweepMin's Centers) match
-// the naive n-BFS fold bit for bit.
+// it never passes the final (radius, center) pair, and every bound only
+// grows toward a true eccentricity, so a stale read of one is still a
+// valid lower bound. The final center, and in SweepMin mode every vertex
+// with eccentricity equal to the radius, can therefore never be pruned
+// (its bound would exceed its cutoff, which is at least its eccentricity)
+// nor abandoned (its depth never exceeds that cutoff), so it completes and
+// Radius/Center (and SweepMin's Centers) match the naive n-BFS fold bit
+// for bit.
 //
 // Sweep returns an error wrapping ErrDisconnected when g is not connected,
 // and an error on the empty graph, where eccentricity is undefined.
@@ -223,12 +252,12 @@ func (g *Graph) Sweep(mode SweepMode) (*SweepResult, error) {
 	stats := &res.Stats
 	stats.Roots = n
 
-	// lb[v] is the seed-derived lower bound on ecc(v); read-only once the
-	// workers start, each of which refines a private copy.
+	// lb[v] is the lower bound on ecc(v) every traversal raises, shared by
+	// the seeds and all workers.
 	minimising := mode != SweepAll
-	var lb []int32
+	var lb []atomic.Int32
 	if minimising {
-		lb = make([]int32, n)
+		lb = make([]atomic.Int32, n)
 	}
 	seedScratch := newSweepScratch(n)
 	best := int64(math.MaxInt64)
@@ -246,7 +275,7 @@ func (g *Graph) Sweep(mode SweepMode) (*SweepResult, error) {
 		res.Ecc[root] = int(ecc)
 		best = min(best, packBest(ecc, root))
 		if lb != nil {
-			refineBounds(lb, seedScratch.dist, ecc)
+			seedScratch.refine(lb, reached, ecc)
 		}
 		return nil
 	}
@@ -298,7 +327,7 @@ func (g *Graph) Sweep(mode SweepMode) (*SweepResult, error) {
 		workers = 1
 	}
 	stats.Workers = workers
-	sw := &sweeper{c: c, center: mode == SweepCenter, ecc: res.Ecc}
+	sw := &sweeper{c: c, center: mode == SweepCenter, ecc: res.Ecc, lb: lb}
 	sw.best.Store(best)
 	wide := n/(ecc0+1) >= laneMinWidth
 	var wg sync.WaitGroup
@@ -310,9 +339,9 @@ func (g *Graph) Sweep(mode SweepMode) (*SweepResult, error) {
 			case !minimising:
 				sw.allWorker()
 			case wide:
-				sw.laneWorker(append([]int32(nil), lb...))
+				sw.laneWorker()
 			default:
-				sw.scalarWorker(append([]int32(nil), lb...))
+				sw.scalarWorker()
 			}
 		}()
 	}
@@ -353,8 +382,9 @@ func (g *Graph) Sweep(mode SweepMode) (*SweepResult, error) {
 // sweeper is the state the parallel phase's workers share.
 type sweeper struct {
 	c      *csr
-	center bool  // SweepCenter: roots numbered above the best center lose ties
-	ecc    []int // the result's Ecc; entry v is written only by the worker that claimed v
+	center bool           // SweepCenter: roots numbered above the best center lose ties
+	ecc    []int          // the result's Ecc; entry v is written only by the worker that claimed v
+	lb     []atomic.Int32 // lower bounds on eccentricity, raised by every traversal
 	next   atomic.Int64
 	// best is packBest of the lexicographically least (eccentricity,
 	// vertex) pair completed so far, so one compare-and-swap keeps both.
@@ -402,10 +432,10 @@ func (s *sweeper) claim() int32 {
 }
 
 // viable claims the next root that can still win against the current best
-// under the worker's bounds lb, counting the roots it skips as pruned.
-func (s *sweeper) viable(lb []int32) int32 {
+// under the shared bounds, counting the roots it skips as pruned.
+func (s *sweeper) viable() int32 {
 	for root := s.claim(); root >= 0; root = s.claim() {
-		if lb[root] <= s.cutoff(root, s.best.Load()) {
+		if s.lb[root].Load() <= s.cutoff(root, s.best.Load()) {
 			return root
 		}
 		s.pruned.Add(1)
@@ -423,35 +453,35 @@ func (s *sweeper) allWorker() {
 	}
 }
 
-// scalarWorker runs one traversal per viable root, refining the worker's
-// bounds lb from each completed one.
-func (s *sweeper) scalarWorker(lb []int32) {
+// scalarWorker runs one traversal per viable root and raises the shared
+// bounds from each, completed or abandoned.
+func (s *sweeper) scalarWorker() {
 	var sc *sweepScratch // allocated for the first viable root, if any
-	for root := s.viable(lb); root >= 0; root = s.viable(lb) {
+	for root := s.viable(); root >= 0; root = s.viable() {
 		if sc == nil {
 			sc = newSweepScratch(len(s.ecc))
 		}
-		ecc, _, ok := sc.bfs(s.c, root, s.cutoff(root, s.best.Load()))
-		if !ok {
+		ecc, reached, ok := sc.bfs(s.c, root, s.cutoff(root, s.best.Load()))
+		if ok {
+			s.ecc[root] = int(ecc)
+			s.completed.Add(1)
+			s.offer(ecc, root)
+		} else {
 			s.shortCircuited.Add(1)
-			continue
 		}
-		s.ecc[root] = int(ecc)
-		s.completed.Add(1)
-		s.offer(ecc, root)
-		refineBounds(lb, sc.dist, ecc)
+		sc.refine(s.lb, reached, ecc)
 	}
 }
 
 // laneWorker claims up to lanes viable roots at a time and runs each batch
 // as one lane pass.
-func (s *sweeper) laneWorker(lb []int32) {
+func (s *sweeper) laneWorker() {
 	var ls *laneScratch // allocated for the first batch, if any
 	roots := make([]int32, 0, lanes)
 	for {
 		roots = roots[:0]
 		for len(roots) < cap(roots) {
-			root := s.viable(lb)
+			root := s.viable()
 			if root < 0 {
 				break
 			}
@@ -463,7 +493,7 @@ func (s *sweeper) laneWorker(lb []int32) {
 		if ls == nil {
 			ls = newLaneScratch(len(s.ecc))
 		}
-		s.lanePass(ls, roots, lb)
+		s.lanePass(ls, roots)
 	}
 }
 
@@ -474,9 +504,9 @@ func (s *sweeper) laneWorker(lb []int32) {
 // the first level where it discovers nothing new; it is abandoned at its
 // first discovery deeper than its cutoff, re-read whenever the shared best
 // changes. Every discovery of w at depth L proves ecc(w) >= L, which the
-// pass records in the worker's bounds lb.
-func (s *sweeper) lanePass(ls *laneScratch, roots []int32, lb []int32) {
-	col, row := s.c.col, s.c.row
+// pass records in the shared bounds.
+func (s *sweeper) lanePass(ls *laneScratch, roots []int32) {
+	col, row, lb := s.c.col, s.c.row, s.lb
 	seen, front, next := ls.seen, ls.front, ls.next
 	clear(seen)
 	active := ls.active[:0]
@@ -522,9 +552,7 @@ func (s *sweeper) lanePass(ls *laneScratch, roots []int32, lb []int32) {
 				if d == 0 {
 					continue
 				}
-				if lb[w] <= level {
-					lb[w] = level + 1
-				}
+				raise(&lb[w], level+1)
 				if x := d & over; x != 0 {
 					abandoned += bits.OnesCount64(x)
 					live &^= x
@@ -557,18 +585,6 @@ func (s *sweeper) lanePass(ls *laneScratch, roots []int32, lb []int32) {
 	ls.front, ls.next, ls.active = front, next, active
 	s.completed.Add(int64(completed))
 	s.shortCircuited.Add(int64(abandoned))
-}
-
-// refineBounds raises lb to the bounds a completed traversal from some u
-// proves: ecc(v) >= max(d(u,v), ecc(u) - d(u,v)), where dist holds d(u,·)
-// and ecc is ecc(u).
-func refineBounds(lb, dist []int32, ecc int32) {
-	for v, d := range dist {
-		b := max(d, ecc-d)
-		if b > lb[v] {
-			lb[v] = b
-		}
-	}
 }
 
 // lowestArgmax returns the lowest index holding the maximum value.

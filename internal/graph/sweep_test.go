@@ -146,8 +146,8 @@ type sweepCase struct {
 
 // sweepBattery is the large-n differential input set: random graphs at
 // three densities up to n = 4096, which run on the 64-lane kernel with
-// hundreds of candidate roots, relabelled narrow families (cycles, tori,
-// grids) and trees on the scalar path, and the extremal shapes — complete
+// hundreds of candidate roots, relabelled narrow families (cycles and tori,
+// even and odd, and grids) and trees on the scalar path, and the extremal shapes — complete
 // graphs, stars and wheels, where every root or one hub is a center.
 func sweepBattery() []sweepCase {
 	rng := rand.New(rand.NewSource(21))
@@ -172,6 +172,8 @@ func sweepBattery() []sweepCase {
 	add("petersen", Petersen())
 	add("single", New(1))
 	add("K2", Complete(2))
+	add("cycle2047", relabel(rng, Cycle(2047)))
+	add("torus15x17", relabel(rng, Torus(15, 17)))
 	return cs
 }
 
@@ -223,6 +225,45 @@ func TestSweepBatteryMatchesNaive(t *testing.T) {
 	if wide == 0 || narrow == 0 || manyCandidates == 0 {
 		t.Fatalf("battery misses a path: %d wide and %d narrow graphs, %d lane sweeps over 128 candidates",
 			wide, narrow, manyCandidates)
+	}
+}
+
+// TestSweepCenterTransitiveTraversals pins the bound sharing on
+// vertex-transitive graphs, where every vertex is a center and only what
+// the traversals themselves prove can prune. On an even cycle every
+// traversal, abandoned or not, proves its antipode loses, so at most about
+// half the roots are traversed; the slack covers roots the workers claim
+// before the bounds that would prune them land.
+func TestSweepCenterTransitiveTraversals(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(24))
+	for _, tc := range []sweepCase{
+		{"cycle2048", relabel(rng, Cycle(2048))},
+		{"cycle2047", relabel(rng, Cycle(2047))},
+		{"torus40x40", relabel(rng, Torus(40, 40))},
+		{"torus15x17", relabel(rng, Torus(15, 17))},
+		{"hypercube8", relabel(rng, Hypercube(8))},
+	} {
+		_, wantR, _, wantCenters := naiveMetrics(tc.g)
+		n := tc.g.N()
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			res, err := tc.g.Sweep(SweepCenter)
+			if err != nil {
+				t.Fatalf("%s procs=%d: %v", tc.name, procs, err)
+			}
+			if res.Radius != wantR || res.Center != wantCenters[0] {
+				t.Errorf("%s procs=%d: r=%d center=%d, want r=%d center=%d",
+					tc.name, procs, res.Radius, res.Center, wantR, wantCenters[0])
+			}
+			s := res.Stats
+			if got := s.Completed + s.Pruned + s.ShortCircuited; got != n {
+				t.Errorf("%s procs=%d: accounting %+v covers %d roots, want %d", tc.name, procs, s, got, n)
+			}
+			if traversals, limit := s.Completed+s.ShortCircuited, n/2+4*s.Workers; traversals > limit {
+				t.Errorf("%s procs=%d: %d traversals, want at most %d: %+v", tc.name, procs, traversals, limit, s)
+			}
+		}
 	}
 }
 
@@ -348,5 +389,54 @@ func TestSweepEarlyExitCutoff(t *testing.T) {
 	}
 	if ecc, _, ok := sc.bfs(c, 4, 4); !ok || ecc != 4 {
 		t.Fatalf("midpoint traversal: ecc=%d ok=%v, want 4 true", ecc, ok)
+	}
+}
+
+// TestSweepAbandonedTraversalReachesNextLevel pins the contract the shared
+// bounds rest on: a traversal abandoned at cutoff returns cutoff + 1 and, as
+// reached, exactly the vertices within distance cutoff + 1 of its root,
+// each with its exact distance; a noCutoff traversal (RepairSweep's) still
+// reaches every vertex and fills dist for all of them.
+func TestSweepAbandonedTraversalReachesNextLevel(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, g := range []*Graph{Path(9), Grid(7, 9), relabel(rng, Cycle(31)), RandomConnected(rng, 200, 0.02)} {
+		c := newCSR(g)
+		sc := newSweepScratch(g.N())
+		for _, src := range []int{0, g.N() / 2, g.N() - 1} {
+			want := g.BFS(src)
+			ecc := int32(0)
+			for _, d := range want {
+				ecc = max(ecc, int32(d))
+			}
+			got, reached, ok := sc.bfs(c, int32(src), noCutoff)
+			if !ok || got != ecc || reached != g.N() {
+				t.Fatalf("root %d noCutoff: ecc=%d reached=%d ok=%v, want %d %d true", src, got, reached, ok, ecc, g.N())
+			}
+			for v, d := range want {
+				if sc.dist[v] != int32(d) {
+					t.Fatalf("root %d noCutoff: dist[%d] = %d, want %d", src, v, sc.dist[v], d)
+				}
+			}
+			for cutoff := int32(0); cutoff < ecc; cutoff++ {
+				got, reached, ok := sc.bfs(c, int32(src), cutoff)
+				if ok || got != cutoff+1 {
+					t.Fatalf("root %d cutoff %d: ecc=%d ok=%v, want %d false", src, cutoff, got, ok, cutoff+1)
+				}
+				within := 0
+				for _, d := range want {
+					if int32(d) <= cutoff+1 {
+						within++
+					}
+				}
+				if reached != within {
+					t.Fatalf("root %d cutoff %d: reached %d, want the %d vertices within %d", src, cutoff, reached, within, cutoff+1)
+				}
+				for _, v := range sc.queue[:reached] {
+					if sc.dist[v] != int32(want[v]) {
+						t.Fatalf("root %d cutoff %d: dist[%d] = %d, want %d", src, cutoff, v, sc.dist[v], want[v])
+					}
+				}
+			}
+		}
 	}
 }

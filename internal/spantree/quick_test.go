@@ -223,9 +223,10 @@ func relabel(rng *rand.Rand, g *graph.Graph) *graph.Graph {
 // TestMinDepthBatteryBitIdenticalToNaive holds MinDepth to the naive n-BFS
 // loop at sizes the quick property never reaches — random graphs at three
 // densities and up to n = 4096 (the 64-lane sweep kernel with hundreds of
-// candidate roots), relabelled cycles, tori and grids, trees, hypercubes,
-// complete graphs, stars, wheels, Petersen and n in {1, 2} — with one
-// worker and with four: same root, same height, same parent array.
+// candidate roots), relabelled cycles and tori (even and odd) and grids,
+// trees, hypercubes, complete graphs, stars, wheels, Petersen and n in
+// {1, 2} — with one worker and with four: same root, same height, same
+// parent array.
 func TestMinDepthBatteryBitIdenticalToNaive(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(21))
@@ -252,6 +253,10 @@ func TestMinDepthBatteryBitIdenticalToNaive(t *testing.T) {
 	// get one density each; at degree 16 nearly every vertex is a center.
 	graphs["random2048/deg8"] = graph.RandomConnected(rng, 2048, 8.0/2048)
 	graphs["random4096/deg16"] = graph.RandomConnected(rng, 4096, 16.0/4096)
+	// Odd cycles and odd tori, where a traversal proves two antipodes lose
+	// and the shared bounds prune least evenly.
+	graphs["cycle2047"] = relabel(rng, graph.Cycle(2047))
+	graphs["torus15x17"] = relabel(rng, graph.Torus(15, 17))
 	for name, g := range graphs {
 		want, err := naiveMinDepth(g)
 		if err != nil {
