@@ -59,10 +59,11 @@ cover:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# One iteration of every Sweep* benchmark: proves the naive and pruned paths
-# still run and agree without paying full measurement time.
+# One iteration of every Sweep* benchmark and of BenchmarkStageRepair:
+# proves the naive and pruned sweep paths still run and agree, and that
+# 1% loss still heals, without paying full measurement time.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=Sweep -benchtime=1x . ./internal/graph
+	$(GO) test -run='^$$' -bench='Sweep|StageRepair' -benchtime=1x . ./internal/graph
 
 # Run every examples/ program and require exit 0. go test never runs their
 # main functions; examples/weighted drives the whole WeightedPlan surface.

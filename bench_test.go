@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"multigossip"
 	"multigossip/internal/baseline"
 	"multigossip/internal/core"
 	"multigossip/internal/expt"
@@ -394,6 +395,49 @@ func BenchmarkStageStreamGenerator(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := p.Summarize(); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// repairBenchNetwork renames g's vertices by a seeded permutation, so the
+// planner and the diameter bound see no trace of the generator's layout,
+// and wraps it as a Network.
+func repairBenchNetwork(g *graph.Graph, seed int64) *multigossip.Network {
+	perm := rand.New(rand.NewSource(seed)).Perm(g.N())
+	nw := multigossip.NewNetwork(g.N())
+	for _, e := range g.Edges() {
+		nw.AddLink(perm[e.U], perm[e.V])
+	}
+	return nw
+}
+
+func BenchmarkStageRepair(b *testing.B) {
+	// ExecuteWithFaults at 1% link loss with the default repair: the
+	// streamed schedule under the injector, then the repair loop's
+	// plan-validate-execute iterations and its diameter caps.
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"ring/n=256", graph.Cycle(256)},
+		{"grid/16x16", graph.Grid(16, 16)},
+		{"random/n=256/deg=6", graph.RandomConnected(rand.New(rand.NewSource(256)), 256, 6.0/256)},
+	} {
+		p, err := repairBenchNetwork(c.g, 1).PlanGossip()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rep, err := p.ExecuteWithFaults(multigossip.WithLinkLoss(0.01, int64(i)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !rep.Complete {
+					b.Fatalf("1%% loss not repaired: final coverage %v", rep.FinalCoverage)
 				}
 			}
 		})

@@ -238,11 +238,12 @@ func ExecuteObserved(g *graph.Graph, s schedule.Source, inj Injector, initial []
 // the per-delivery outcomes as in ExecuteObserved, and ro (if non-nil)
 // receives the structured round events of the observability layer —
 // BeginRound/EndRound with aggregated RoundStats and the same per-delivery
-// outcomes via Delivery. Both observers see absolute round indices
-// (roundOffset added). With both nil the executor takes the untraced fast
-// path; ExecuteInjected and ExecuteObserved delegate here. It reads s
-// once, round by round in order, so a streamed Source is never
-// materialised.
+// outcomes via Delivery; an ro that is exactly an *obs.ProgressCollector,
+// which ignores Delivery, gets only the round events. Both observers see
+// absolute round indices (roundOffset added). With both nil the executor
+// takes the untraced fast path; ExecuteInjected and ExecuteObserved
+// delegate here. It reads s once, round by round in order, so a streamed
+// Source is never materialised.
 func ExecuteTraced(g *graph.Graph, s schedule.Source, inj Injector, initial []*schedule.Bitset, roundOffset int, watch Observer, ro obs.RoundObserver) (holds []*schedule.Bitset, dropped int, err error) {
 	n, nmsg := s.Processors(), s.Messages()
 	if g.N() != n {
@@ -273,6 +274,13 @@ func ExecuteTraced(g *graph.Graph, s schedule.Source, inj Injector, initial []*s
 	for i := range received {
 		received[i] = -1
 	}
+	// perDelivery is the observer that takes Delivery events: ro, unless
+	// ro is the progress collector alone, which folds only EndRound and
+	// would turn every delivery into a wasted call.
+	perDelivery := ro
+	if _, ok := ro.(*obs.ProgressCollector); ok {
+		perDelivery = nil
+	}
 	// report fans one delivery outcome out to both observers; skipped is
 	// the SenderDown/SenderMissing case, where the whole destination set is
 	// reported at once.
@@ -280,11 +288,11 @@ func ExecuteTraced(g *graph.Graph, s schedule.Source, inj Injector, initial []*s
 		if watch != nil {
 			watch(abs, from, to, msg, outcome)
 		}
-		if ro != nil {
-			ro.Delivery(abs, from, to, msg, outcome)
+		if perDelivery != nil {
+			perDelivery.Delivery(abs, from, to, msg, outcome)
 		}
 	}
-	observed := watch != nil || ro != nil
+	observed := watch != nil || perDelivery != nil
 	type delivery struct{ msg, to int }
 	var (
 		round    []schedule.Transmission

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"reflect"
 	"testing"
 
 	"multigossip/internal/graph"
@@ -100,21 +101,32 @@ func TestExecuteTracedNewPairsVsWaste(t *testing.T) {
 }
 
 // TestExecuteTracedBothObservers: the legacy per-delivery Observer and the
-// RoundObserver see the same deliveries when attached together.
+// RoundObserver see the same deliveries when attached together, and a
+// progress collector attached alone, which the executor sends no
+// deliveries, neither silences watch nor changes its curve.
 func TestExecuteTracedBothObservers(t *testing.T) {
 	g := graph.Path(3)
 	s := schedule.New(3)
 	s.AddSend(0, 0, 0, 1)
 	s.AddSend(1, 1, 1, 2)
-	watched := 0
+	alone, withRec := obs.NewProgressCollector(3, 9), obs.NewProgressCollector(3, 9)
 	rec := &roundRecorder{}
-	_, _, err := ExecuteTraced(g, s, nil, nil, 0, func(int, int, int, int, DeliveryOutcome) {
-		watched++
-	}, rec)
-	if err != nil {
-		t.Fatal(err)
+	for _, ro := range []obs.RoundObserver{rec, alone, obs.Multi(&roundRecorder{}, withRec)} {
+		watched := 0
+		_, _, err := ExecuteTraced(g, s, nil, nil, 0, func(int, int, int, int, DeliveryOutcome) {
+			watched++
+		}, ro)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if watched != 2 {
+			t.Errorf("%T: watch saw %d deliveries, want 2", ro, watched)
+		}
 	}
-	if watched != 2 || rec.deliveries != 2 {
-		t.Errorf("watch saw %d, round observer saw %d, want 2 each", watched, rec.deliveries)
+	if rec.deliveries != 2 {
+		t.Errorf("round observer saw %d deliveries, want 2", rec.deliveries)
+	}
+	if a, w := alone.Curve(), withRec.Curve(); !reflect.DeepEqual(a, w) || len(a) != 2 || a[1].Held != 5 {
+		t.Errorf("collector alone %+v, inside Multi %+v; want equal, ending at 5 held", a, w)
 	}
 }

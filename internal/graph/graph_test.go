@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -507,18 +508,38 @@ func TestN1IsEightRing(t *testing.T) {
 	}
 }
 
-func TestComponentDiameter(t *testing.T) {
-	cases := []struct {
-		name string
-		g    *Graph
-		want int
-	}{
-		{"empty", New(0), 0},
-		{"singleton", New(1), 0},
-		{"isolated", New(4), 0},
-		{"path", Path(6), 5},
-		{"cycle", Cycle(8), 4},
+// naiveComponentDiameter is the all-pairs oracle for ComponentDiameter: a
+// BFS from every vertex, folding the largest distance each one reaches.
+func naiveComponentDiameter(g *Graph) int {
+	diam := 0
+	for v := 0; v < g.N(); v++ {
+		for _, d := range g.BFS(v) {
+			diam = max(diam, d)
+		}
 	}
+	return diam
+}
+
+// crashStop returns g without processor p's links, the way a repair run's
+// survivor graph isolates a crash-stopped processor.
+func crashStop(g *Graph, p int) *Graph {
+	out := New(g.N())
+	for _, e := range g.Edges() {
+		if e.U != p && e.V != p {
+			out.AddEdge(e.U, e.V)
+		}
+	}
+	return out
+}
+
+// TestComponentDiameter holds the pruned parallel ComponentDiameter to the
+// all-pairs oracle, with one worker and with four, on the shapes only a
+// disconnected graph has: isolated vertices, components of different
+// diameters, and crash-stop survivor graphs. (TestSweepBatteryMatchesNaive
+// checks the sweep battery's connected graphs against the naive diameter.)
+func TestComponentDiameter(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(25))
 	// Two components: a 5-path (diameter 4) and a triangle (diameter 1).
 	split := New(8)
 	for v := 0; v < 4; v++ {
@@ -527,20 +548,51 @@ func TestComponentDiameter(t *testing.T) {
 	split.AddEdge(5, 6)
 	split.AddEdge(6, 7)
 	split.AddEdge(5, 7)
-	cases = append(cases, struct {
+	cases := []struct {
 		name string
 		g    *Graph
-		want int
-	}{"path+triangle", split, 4})
+		want int // -1: take the oracle's answer
+	}{
+		{"empty", New(0), 0},
+		{"singleton", New(1), 0},
+		{"isolated", New(4), 0},
+		{"path", Path(6), 5},
+		{"cycle", Cycle(8), 4},
+		{"path+triangle", split, 4},
+		{"path+triangle relabelled", relabel(rng, split), 4},
+		{"grid12x12 crash", relabel(rng, crashStop(Grid(12, 12), 40)), -1},
+		{"path40 crash", relabel(rng, crashStop(Path(40), 13)), 25},
+		{"torus8x8 crash", relabel(rng, crashStop(Torus(8, 8), 0)), -1},
+		{"random300 crash", crashStop(RandomConnected(rng, 300, 0.02), 7), -1},
+	}
 	for _, c := range cases {
-		if got := c.g.ComponentDiameter(); got != c.want {
-			t.Errorf("%s: ComponentDiameter() = %d, want %d", c.name, got, c.want)
+		want := naiveComponentDiameter(c.g)
+		if c.want >= 0 && want != c.want {
+			t.Fatalf("%s: oracle says %d, want %d", c.name, want, c.want)
+		}
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			if got := c.g.ComponentDiameter(); got != want {
+				t.Errorf("%s procs=%d: ComponentDiameter() = %d, want %d", c.name, procs, got, want)
+			}
 		}
 	}
-	// On connected graphs it must agree with Diameter.
-	for _, g := range []*Graph{Path(9), Cycle(10), Grid(3, 5), Petersen()} {
-		if g.ComponentDiameter() != g.Diameter() {
-			t.Errorf("%v: ComponentDiameter %d != Diameter %d", g, g.ComponentDiameter(), g.Diameter())
+}
+
+// TestComponentDiameterPrunesGrid pins the upper-bound pruning: on a
+// relabelled 16 x 16 grid a few traversals bound every other vertex's
+// eccentricity by the diameter found.
+func TestComponentDiameterPrunesGrid(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	g := relabel(rand.New(rand.NewSource(16)), Grid(16, 16))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		diam, traversals := g.componentDiameter()
+		if diam != 30 {
+			t.Fatalf("procs=%d: diameter %d, want 30", procs, diam)
+		}
+		if traversals > 16 {
+			t.Errorf("procs=%d: %d traversals, want at most 16 of 256", procs, traversals)
 		}
 	}
 }

@@ -597,3 +597,74 @@ func lowestArgmax(d []int32) int {
 	}
 	return arg
 }
+
+// ComponentDiameter returns the largest distance realised within any
+// connected component: the diameter for a connected graph, and the worst
+// per-component diameter for a disconnected one (unreachable pairs are
+// ignored, so it never panics). Package repair uses it to size repair
+// batches over survivor subgraphs, which are disconnected exactly when a
+// partition has occurred. The empty graph has component diameter 0.
+//
+// It is exact, but skips every root the traversals so far prove cannot
+// raise the answer. A completed traversal from v proves ecc(w) <= ecc(v) +
+// d(v, w) for every w it reached (Takes & Kosters, "Computing the
+// Eccentricity Distribution of Large Graphs", Algorithms 2013), and a root
+// whose upper bound is at most the largest eccentricity found so far is
+// skipped. Roots are handed out in index order over a GOMAXPROCS worker
+// pool sharing the upper bounds and the running maximum. A traversal
+// reaches only its own component, so the bounds it sets never cross into
+// another one.
+func (g *Graph) ComponentDiameter() int {
+	diam, _ := g.componentDiameter()
+	return diam
+}
+
+// componentDiameter is ComponentDiameter that also returns the number of
+// traversals it ran.
+func (g *Graph) componentDiameter() (diam, traversals int) {
+	n := g.N()
+	if n == 0 {
+		return 0, 0
+	}
+	c := newCSR(g)
+	ub := make([]atomic.Int32, n) // upper bounds on eccentricity
+	for i := range ub {
+		ub[i].Store(math.MaxInt32)
+	}
+	var best atomic.Int32 // the largest eccentricity found so far
+	var next, done atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sc *sweepScratch // allocated for the first root traversed
+			for v := next.Add(1) - 1; v < int64(n); v = next.Add(1) - 1 {
+				if ub[v].Load() <= best.Load() {
+					continue
+				}
+				if sc == nil {
+					sc = newSweepScratch(n)
+				}
+				ecc, reached, _ := sc.bfs(c, int32(v), noCutoff)
+				done.Add(1)
+				raise(&best, ecc)
+				for _, w := range sc.queue[:reached] {
+					lower(&ub[w], ecc+sc.dist[w])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return int(best.Load()), int(done.Load())
+}
+
+// lower drops the shared bound *b to x if x is smaller. Upper bounds only
+// fall, so a stale read elsewhere is still a valid upper bound.
+func lower(b *atomic.Int32, x int32) {
+	for cur := b.Load(); x < cur; cur = b.Load() {
+		if b.CompareAndSwap(cur, x) {
+			return
+		}
+	}
+}

@@ -180,7 +180,8 @@ func sweepBattery() []sweepCase {
 // TestSweepBatteryMatchesNaive holds both minimum-seeking modes to the
 // naive n-BFS fold on the large-n battery, with one worker and with four:
 // Radius and Center exactly, Centers exactly (only Center in SweepCenter
-// mode), and every eccentricity a sweep reports. It also checks that the
+// mode), and every eccentricity a sweep reports. ComponentDiameter must
+// match the naive diameter at both worker counts. It also checks that the
 // battery reaches both the lane kernel, with more than two passes' worth of
 // candidate roots, and the scalar path.
 func TestSweepBatteryMatchesNaive(t *testing.T) {
@@ -188,7 +189,7 @@ func TestSweepBatteryMatchesNaive(t *testing.T) {
 	var wide, narrow, manyCandidates int
 	for _, tc := range sweepBattery() {
 		g := tc.g
-		wantEcc, wantR, _, wantCenters := naiveMetrics(g)
+		wantEcc, wantR, wantD, wantCenters := naiveMetrics(g)
 		isWide := g.N()/(wantEcc[0]+1) >= laneMinWidth
 		if isWide {
 			wide++
@@ -197,6 +198,9 @@ func TestSweepBatteryMatchesNaive(t *testing.T) {
 		}
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
+			if d := g.ComponentDiameter(); d != wantD {
+				t.Errorf("%s procs=%d: ComponentDiameter = %d, want %d", tc.name, procs, d, wantD)
+			}
 			for _, mode := range []SweepMode{SweepMin, SweepCenter} {
 				res, err := g.Sweep(mode)
 				if err != nil {

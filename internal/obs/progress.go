@@ -18,8 +18,9 @@ type RoundProgress struct {
 // ProgressCollector is a RoundObserver that folds EndRound events into a
 // per-round holds-coverage progress curve — the per-round progress signal
 // the algebraic-gossip literature analyses gossip through. It ignores
-// per-delivery events entirely, so attaching it costs O(rounds), not
-// O(deliveries).
+// per-delivery events entirely, and fault.ExecuteTraced sends none to an
+// observer that is exactly a *ProgressCollector, so attaching it alone
+// costs O(rounds), not O(deliveries).
 type ProgressCollector struct {
 	Nop
 	mu          sync.Mutex

@@ -56,21 +56,61 @@ func MissingPairs(holds []*schedule.Bitset) int {
 // round makes progress, and planning stops early once the deficit is empty
 // or no link can supply any missing pair.
 //
-// holds is not modified. The returned schedule may be empty (zero rounds).
+// Run plans into one reused flat batch; PlanRounds returns a materialised
+// copy of the same rounds, for tests and tooling. holds is not modified.
+// The returned schedule may be empty (zero rounds).
 func PlanRounds(g *graph.Graph, holds []*schedule.Bitset, maxRounds int) *schedule.Schedule {
-	n := g.N()
 	nmsg := 0
-	if n > 0 {
+	if len(holds) > 0 {
 		nmsg = holds[0].Len()
 	}
-	s := schedule.NewWithMessages(n, nmsg)
-	sim := make([]*schedule.Bitset, n)
-	for v, h := range holds {
-		sim[v] = h.Clone()
+	return schedule.Collect(newPlanner(g.N(), nmsg).plan(g, holds, maxRounds))
+}
+
+// planner is the greedy planner's state. Run keeps one across its
+// iterations, so the simulated hold sets, the per-sender scratch and the
+// batch the rounds go into are allocated once per run.
+type planner struct {
+	sim       []*schedule.Bitset
+	senderMsg []int   // message processor u multicasts this round, -1 if idle
+	senderTo  [][]int // destinations of u's multicast this round, ascending
+	b         batch
+}
+
+func newPlanner(n, nmsg int) *planner {
+	p := &planner{
+		sim:       make([]*schedule.Bitset, n),
+		senderMsg: make([]int, n),
+		senderTo:  make([][]int, n),
+		b:         batch{n: n, nmsg: nmsg},
 	}
-	senderMsg := make([]int, n) // message processor u multicasts this round, -1 if idle
-	senderTo := make([][]int, n)
-	for t := 0; t < maxRounds; t++ {
+	for v := range p.sim {
+		p.sim[v] = schedule.NewBitset(nmsg)
+	}
+	return p
+}
+
+// plan runs PlanRounds' greedy rounds into the planner's batch and returns
+// it; the batch is valid until the next call.
+func (p *planner) plan(g *graph.Graph, holds []*schedule.Bitset, maxRounds int) *batch {
+	n := g.N()
+	sim, senderMsg, senderTo, b := p.sim, p.senderMsg, p.senderTo, &p.b
+	for v, h := range holds {
+		sim[v].CopyFrom(h)
+	}
+	b.reset()
+	// Every planned delivery lands a distinct missing pair, and a round
+	// lands at most n: size the destination storage once, up front.
+	need := MissingPairs(holds)
+	if maxRounds < need/max(n, 1) {
+		need = maxRounds * n
+	}
+	if cap(b.to) < need {
+		b.to = make([]int, 0, need)
+	}
+	// A round adds at most n destinations; stop before the batch's int32
+	// offsets could overflow.
+	for t := 0; t < maxRounds && len(b.to) <= maxBatchDests-n; t++ {
 		for u := range senderMsg {
 			senderMsg[u] = -1
 			senderTo[u] = senderTo[u][:0]
@@ -107,13 +147,14 @@ func PlanRounds(g *graph.Graph, holds []*schedule.Bitset, maxRounds int) *schedu
 			if m < 0 {
 				continue
 			}
-			s.AddSend(t, m, u, senderTo[u]...)
+			b.add(m, u, senderTo[u])
 			for _, d := range senderTo[u] {
 				sim[d].Set(m)
 			}
 		}
+		b.endRound()
 	}
-	return s
+	return b
 }
 
 // DefaultQuarantineThreshold is the suspicion threshold when
@@ -158,8 +199,8 @@ type Options struct {
 	// threshold, so quarantine always gets its chance to fire before a
 	// stall is declared.
 	StallPatience int
-	// RecordPlans retains every executed repair batch in Outcome.Plans, for
-	// tests and tooling that audit what was planned when.
+	// RecordPlans retains a copy of every executed repair batch in
+	// Outcome.Plans, for tests and tooling that audit what was planned when.
 	RecordPlans bool
 	// Observer, when non-nil, receives the structured events of the
 	// observability layer: the round events of every executed repair batch
@@ -202,17 +243,17 @@ type Outcome struct {
 	// Quarantines records each amputation event with the iteration that
 	// triggered it.
 	Quarantines []QuarantineEvent
-	// Plans holds the executed repair batches when Options.RecordPlans was
-	// set, in execution order.
+	// Plans holds copies of the executed repair batches when
+	// Options.RecordPlans was set, in execution order.
 	Plans []*schedule.Schedule
 }
 
-// Run repairs the deficit of holds on network g: it iterates PlanRounds
-// and fault.ExecuteObserved under opts until every processor holds every
-// message it can still get. Transient loss is ridden out by retrying;
-// permanent faults are detected by the suspicion tracker (consecutive
-// failed attempts per link and per processor) and quarantined, after which
-// planning continues over the survivor subgraph. The loop terminates when
+// Run repairs the deficit of holds on network g: it iterates the greedy
+// planner of PlanRounds and fault.ExecuteTraced under opts until every
+// processor holds every message it can still get. Transient loss is ridden
+// out by retrying; permanent faults are detected by the suspicion tracker
+// (consecutive failed attempts per link and per processor) and
+// quarantined, after which planning continues over the survivor subgraph. The loop terminates when
 // the reachable deficit is empty (complete up to reachability — under
 // partition this is the best any recovery can do), when the deficit stops
 // shrinking with nothing left to quarantine (Outcome.Stalled), or when the
@@ -261,12 +302,13 @@ func Run(g *graph.Graph, holds []*schedule.Bitset, opts Options) (Outcome, error
 	maxCap := max(n, baseCap)
 	offset := opts.RoundOffset
 	noProgress := 0
+	pl := newPlanner(n, holds[0].Len())
 loop:
 	for it := 0; it < iters && deficit > 0; it++ {
 		if reachableDeficit(surv, cur) == 0 {
 			break // complete up to reachability: the rest has no live holder
 		}
-		plan := PlanRounds(surv, cur, capRounds)
+		plan := pl.plan(surv, cur, capRounds)
 		if plan.Time() == 0 {
 			// A reachable pair is always plannable (wavefront argument), so
 			// an empty plan here means the planner is wedged: stop honestly.
@@ -288,15 +330,16 @@ loop:
 		out.Dropped += dropped
 		offset += plan.Time()
 		if opts.RecordPlans {
-			out.Plans = append(out.Plans, plan)
+			out.Plans = append(out.Plans, schedule.Collect(plan))
 		}
 		newLinks, newProcs := susp.endIteration()
 		quarantined := len(newLinks) > 0 || len(newProcs) > 0
+		after := MissingPairs(next)
 		if opts.Observer != nil {
 			opts.Observer.RepairIteration(it, obs.RepairStats{
 				PlannedRounds: plan.Time(),
 				DeficitBefore: deficit,
-				DeficitAfter:  MissingPairs(next),
+				DeficitAfter:  after,
 				Quarantined:   quarantined,
 			})
 			if quarantined {
@@ -324,9 +367,8 @@ loop:
 				capRounds = baseCap
 			}
 		}
-		progressed := MissingPairs(next) < deficit
-		cur = next
-		deficit = MissingPairs(cur)
+		progressed := after < deficit
+		cur, deficit = next, after
 		switch {
 		case quarantined:
 			// The topology just changed; the replanned loop starts fresh

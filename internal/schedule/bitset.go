@@ -45,6 +45,10 @@ func (b *Bitset) Clone() *Bitset {
 	return &Bitset{words: append([]uint64(nil), b.words...), n: b.n}
 }
 
+// CopyFrom overwrites b with the bits of o, reusing b's storage. Both
+// bitsets must have the same capacity.
+func (b *Bitset) CopyFrom(o *Bitset) { copy(b.words, o.words) }
+
 // FirstAndNot returns the lowest index set in b and clear in o, or -1 when
 // there is none — the first message a processor holding b could supply to a
 // processor holding o. Both bitsets must have the same capacity.
