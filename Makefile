@@ -59,11 +59,12 @@ cover:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# One iteration of every Sweep* benchmark and of BenchmarkStageRepair:
-# proves the naive and pruned sweep paths still run and agree, and that
-# 1% loss still heals, without paying full measurement time.
+# One iteration of every Sweep* benchmark, of BenchmarkStageRepair and of
+# BenchmarkComponentDiameter: proves the naive and pruned sweep paths still
+# run and agree, that 1% loss still heals, and that both ComponentDiameter
+# paths run, without paying full measurement time.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='Sweep|StageRepair' -benchtime=1x . ./internal/graph
+	$(GO) test -run='^$$' -bench='Sweep|StageRepair|ComponentDiameter' -benchtime=1x . ./internal/graph
 
 # Run every examples/ program and require exit 0. go test never runs their
 # main functions; examples/weighted drives the whole WeightedPlan surface.
@@ -108,9 +109,13 @@ serve-smoke:
 # threat model after disk corruption — must decode to a valid plan or a
 # clean error, never a crash), and the async simulator's invariants on
 # fuzzer-chosen trees and seeded latency models (no panic, no double
-# receive, full coverage, bounded completion).
+# receive, full coverage, bounded completion), and the compiled fault
+# injector's equivalence invariant (hold sets, drop counts and every
+# observer event identical to asking the same injector through the
+# Injector interface).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzPlanRounds -fuzztime=10s ./internal/repair
+	$(GO) test -run='^$$' -fuzz=FuzzCompiledInjector -fuzztime=10s ./internal/fault
 	$(GO) test -run='^$$' -fuzz=FuzzImplicitRound -fuzztime=10s ./internal/implicit
 	$(GO) test -run='^$$' -fuzz=FuzzPlanDecode -fuzztime=10s ./internal/implicit
 	$(GO) test -run='^$$' -fuzz=FuzzSimAsync -fuzztime=10s ./internal/sim

@@ -413,18 +413,53 @@ func repairBenchNetwork(g *graph.Graph, seed int64) *multigossip.Network {
 	return nw
 }
 
+// stageRepairCase is one input of BenchmarkStageRepair and
+// TestExecuteWithFaultsAllocs. maxAllocs is the allocation ceiling of one
+// ExecuteWithFaults at 1% loss: a fifth of what the executor, the
+// validator and the repair loop allocated when they still cloned every
+// hold set separately and relabelled components every iteration (10.5 k,
+// 6.6 k and 7.6 k).
+type stageRepairCase struct {
+	name      string
+	g         *graph.Graph
+	maxAllocs float64
+}
+
+func stageRepairCases() []stageRepairCase {
+	return []stageRepairCase{
+		{"ring/n=256", graph.Cycle(256), 2100},
+		{"grid/16x16", graph.Grid(16, 16), 1320},
+		{"random/n=256/deg=6", graph.RandomConnected(rand.New(rand.NewSource(256)), 256, 6.0/256), 1520},
+	}
+}
+
+// TestExecuteWithFaultsAllocs holds one lossy replay with repair under its
+// allocation ceiling, so hold sets cloned one by one or labels recomputed
+// per iteration cannot creep back.
+func TestExecuteWithFaultsAllocs(t *testing.T) {
+	for _, c := range stageRepairCases() {
+		p, err := repairBenchNetwork(c.g, 1).PlanGossip()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, err := p.ExecuteWithFaults(multigossip.WithLinkLoss(0.01, seed)); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > c.maxAllocs {
+				t.Errorf("%s seed %d: %.0f allocations per ExecuteWithFaults, ceiling %.0f", c.name, seed, allocs, c.maxAllocs)
+			}
+		}
+	}
+}
+
 func BenchmarkStageRepair(b *testing.B) {
 	// ExecuteWithFaults at 1% link loss with the default repair: the
 	// streamed schedule under the injector, then the repair loop's
 	// plan-validate-execute iterations and its diameter caps.
-	for _, c := range []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"ring/n=256", graph.Cycle(256)},
-		{"grid/16x16", graph.Grid(16, 16)},
-		{"random/n=256/deg=6", graph.RandomConnected(rand.New(rand.NewSource(256)), 256, 6.0/256)},
-	} {
+	for _, c := range stageRepairCases() {
 		p, err := repairBenchNetwork(c.g, 1).PlanGossip()
 		if err != nil {
 			b.Fatal(err)

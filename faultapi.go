@@ -114,7 +114,7 @@ func WithDroppedDelivery(round, tx, dest int) FaultOption {
 // same link in later rounds draw fresh coins.
 func WithLinkLoss(p float64, seed int64) FaultOption {
 	return func(c *faultConfig) {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) { // also rejects NaN, which would never drop
 			c.validation = fmt.Errorf("multigossip: loss probability %v out of [0,1]", p)
 			return
 		}

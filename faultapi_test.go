@@ -2,8 +2,10 @@ package multigossip
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"multigossip/internal/core"
@@ -195,6 +197,21 @@ func TestExecuteWithFaultsRejectsBadOptions(t *testing.T) {
 	}
 	if _, err := plan.ExecuteWithFaults(WithCrashWindow(8, 0, 5)); err == nil {
 		t.Fatal("out-of-range crash processor accepted")
+	}
+}
+
+// TestWithLinkLossRejectsNaN: a NaN loss probability compares false
+// against both ends of [0,1], and LinkLoss would then never drop, so the
+// run would silently have no faults. It must fail like any other
+// out-of-range probability.
+func TestWithLinkLossRejectsNaN(t *testing.T) {
+	plan, err := Ring(8).PlanGossip()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = plan.ExecuteWithFaults(WithLinkLoss(math.NaN(), 1))
+	if err == nil || !strings.Contains(err.Error(), "out of [0,1]") {
+		t.Fatalf("NaN loss probability: err = %v, want the out-of-range error", err)
 	}
 }
 

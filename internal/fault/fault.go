@@ -45,7 +45,8 @@ type DeliveryID struct {
 // absolute indices: repair rounds appended after a T-round schedule are
 // asked about rounds T, T+1, ... so one injector spans an entire
 // execute-repair pipeline. Implementations must be pure functions of their
-// arguments — the engine may ask about the same delivery more than once.
+// arguments — the engine may ask about the same delivery more than once,
+// and skips asking a model whose answer is provably false (see compile).
 type Injector interface {
 	// Drop reports whether the delivery of msg from processor from to
 	// processor to, sent as transmission index tx of (absolute) round t, is
@@ -243,7 +244,10 @@ func ExecuteObserved(g *graph.Graph, s schedule.Source, inj Injector, initial []
 // absolute round indices (roundOffset added). With both nil the executor
 // takes the untraced fast path; ExecuteInjected and ExecuteObserved
 // delegate here. It reads s once, round by round in order, so a streamed
-// Source is never materialised.
+// Source is never materialised. The returned hold sets share one word
+// slab (schedule.NewBitsets), and inj is compiled once per call into a
+// form whose LinkLoss coins cost two hash mixes per delivery and whose
+// provably-false Drop and Down members are never asked.
 func ExecuteTraced(g *graph.Graph, s schedule.Source, inj Injector, initial []*schedule.Bitset, roundOffset int, watch Observer, ro obs.RoundObserver) (holds []*schedule.Bitset, dropped int, err error) {
 	n, nmsg := s.Processors(), s.Messages()
 	if g.N() != n {
@@ -253,23 +257,22 @@ func ExecuteTraced(g *graph.Graph, s schedule.Source, inj Injector, initial []*s
 		if nmsg != n {
 			return nil, 0, fmt.Errorf("fault: lenient executor supports the basic instance only")
 		}
-		holds = make([]*schedule.Bitset, n)
-		for v := range holds {
-			holds[v] = schedule.NewBitset(nmsg)
-			holds[v].Set(v)
+		holds = schedule.NewBitsets(n, nmsg)
+		for v, h := range holds {
+			h.Set(v)
 		}
 	} else {
 		if len(initial) != n {
 			return nil, 0, fmt.Errorf("fault: %d initial hold sets for %d processors", len(initial), n)
 		}
-		holds = make([]*schedule.Bitset, n)
 		for v, h := range initial {
 			if h.Len() != nmsg {
 				return nil, 0, fmt.Errorf("fault: initial hold set %d sized %d, want %d", v, h.Len(), nmsg)
 			}
-			holds[v] = h.Clone()
 		}
+		holds = schedule.CloneAll(initial)
 	}
+	ci := compile(inj, max(n, nmsg))
 	received := make([]int, n) // round of last receive, -1 otherwise
 	for i := range received {
 		received[i] = -1
@@ -305,9 +308,12 @@ func ExecuteTraced(g *graph.Graph, s schedule.Source, inj Injector, initial []*s
 		if ro != nil {
 			ro.BeginRound(abs)
 		}
+		if ci != nil {
+			ci.beginRound(abs)
+		}
 		var stats obs.RoundStats
 		for txIdx, tx := range round {
-			if inj != nil && inj.Down(abs, tx.From) {
+			if ci != nil && ci.down(abs, tx.From) {
 				stats.Skipped += len(tx.To)
 				if observed {
 					for _, d := range tx.To {
@@ -325,9 +331,12 @@ func ExecuteTraced(g *graph.Graph, s schedule.Source, inj Injector, initial []*s
 				}
 				continue // fault propagation: nothing to send
 			}
+			if ci != nil {
+				ci.beginTx(tx.From)
+			}
 			for _, d := range tx.To {
-				if inj != nil {
-					if inj.Drop(abs, txIdx, tx.From, d, tx.Msg) {
+				if ci != nil {
+					if ci.drop(abs, txIdx, tx.From, d, tx.Msg) {
 						dropped++
 						stats.Dropped++
 						if observed {
@@ -335,7 +344,7 @@ func ExecuteTraced(g *graph.Graph, s schedule.Source, inj Injector, initial []*s
 						}
 						continue
 					}
-					if inj.Down(abs, d) {
+					if ci.down(abs, d) {
 						dropped++
 						stats.Dropped++
 						if observed {
@@ -437,7 +446,7 @@ func Criticality(g *graph.Graph, s *schedule.Schedule) (CriticalityReport, error
 // curve of the schedule under lossy links. Each trial reads s twice in
 // round order: once to draw the drops, once to execute.
 func RandomLoss(g *graph.Graph, s schedule.Source, p float64, trials int, rng *rand.Rand) (meanCoverage float64, err error) {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // also rejects NaN
 		return 0, fmt.Errorf("fault: loss probability %v out of [0,1]", p)
 	}
 	if trials < 1 {

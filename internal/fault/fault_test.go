@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -457,6 +458,9 @@ func TestExecuteRejectsBadInput(t *testing.T) {
 	}
 	if _, err := RandomLoss(graph.Path(4), cud.Schedule, -0.1, 5, rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("accepted negative probability")
+	}
+	if _, err := RandomLoss(graph.Path(4), cud.Schedule, math.NaN(), 5, rand.New(rand.NewSource(1))); err == nil {
+		t.Fatal("accepted NaN probability")
 	}
 	if _, err := RandomLoss(graph.Path(4), cud.Schedule, 0.5, 0, rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("accepted zero trials")

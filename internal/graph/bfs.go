@@ -138,6 +138,36 @@ func (g *Graph) Components() [][]int {
 	return comps
 }
 
+// ComponentLabels labels every vertex with its connected component,
+// numbering the components 0, 1, ... in the order Components lists them
+// (by smallest vertex), and returns the labels and the component count.
+// It allocates the label slice and one queue, not a slice per component.
+func (g *Graph) ComponentLabels() (label []int, count int) {
+	n := g.N()
+	label = make([]int, n)
+	for v := range label {
+		label[v] = -1
+	}
+	queue := make([]int, 0, n)
+	for s := 0; s < n; s++ {
+		if label[s] >= 0 {
+			continue
+		}
+		label[s] = count
+		queue = append(queue[:0], s)
+		for head := 0; head < len(queue); head++ {
+			for _, v := range g.adj[queue[head]] {
+				if label[v] < 0 {
+					label[v] = count
+					queue = append(queue, v)
+				}
+			}
+		}
+		count++
+	}
+	return label, count
+}
+
 // Eccentricity returns the greatest distance from v to any vertex.
 // It panics if the graph is disconnected, because eccentricity is undefined
 // there and every algorithm in this module requires connectivity.

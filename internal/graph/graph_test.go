@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -587,12 +588,65 @@ func TestComponentDiameterPrunesGrid(t *testing.T) {
 	g := relabel(rand.New(rand.NewSource(16)), Grid(16, 16))
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		diam, traversals := g.componentDiameter()
+		diam, traversals, _ := g.componentDiameter()
 		if diam != 30 {
 			t.Fatalf("procs=%d: diameter %d, want 30", procs, diam)
 		}
 		if traversals > 16 {
 			t.Errorf("procs=%d: %d traversals, want at most 16 of 256", procs, traversals)
+		}
+	}
+}
+
+// TestComponentDiameterLanePath holds the lane path of ComponentDiameter
+// to the all-pairs oracle, with one worker and with four: on the replay
+// classes (the random ones take lanes, the ring, grid and torus stay
+// scalar) and on disconnected survivor-style graphs that take lanes —
+// shallow random components beside isolated vertices, a crash-stopped
+// vertex 0 (so the first traversal sees a lone vertex), and more roots
+// than one worker's lane batch spread over several components.
+func TestComponentDiameterLanePath(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(64))
+	// Three random components of different sizes and two isolated
+	// vertices, interleaved by a relabelling.
+	parts := New(300)
+	off := 0
+	for _, size := range []int{150, 90, 58} {
+		part := RandomConnected(rng, size, 8.0/float64(size))
+		for _, e := range part.Edges() {
+			parts.AddEdge(off+e.U, off+e.V)
+		}
+		off += size
+	}
+	cases := []struct {
+		name  string
+		g     *Graph
+		laned bool
+	}{
+		{"components+isolated", relabel(rng, parts), true},
+		{"random256 crash0", crashStop(RandomConnected(rng, 256, 6.0/256), 0), true},
+		{"random200 crash17", crashStop(RandomConnected(rng, 200, 10.0/200), 17), true},
+		{"two vertices", crashStop(Complete(3), 2), true},
+	}
+	for _, tc := range replayClasses() {
+		cases = append(cases, struct {
+			name  string
+			g     *Graph
+			laned bool
+		}{tc.name, tc.g, strings.HasPrefix(tc.name, "random")})
+	}
+	for _, c := range cases {
+		want := naiveComponentDiameter(c.g)
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			diam, _, laned := c.g.componentDiameter()
+			if diam != want {
+				t.Errorf("%s procs=%d: ComponentDiameter() = %d, want %d", c.name, procs, diam, want)
+			}
+			if laned != c.laned {
+				t.Errorf("%s procs=%d: lane path %v, want %v", c.name, procs, laned, c.laned)
+			}
 		}
 	}
 }

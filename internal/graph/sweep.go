@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -383,6 +384,7 @@ func (g *Graph) Sweep(mode SweepMode) (*SweepResult, error) {
 type sweeper struct {
 	c      *csr
 	center bool           // SweepCenter: roots numbered above the best center lose ties
+	exact  bool           // no cutoffs: every traversal runs to completion (ComponentDiameter)
 	ecc    []int          // the result's Ecc; entry v is written only by the worker that claimed v
 	lb     []atomic.Int32 // lower bounds on eccentricity, raised by every traversal
 	next   atomic.Int64
@@ -400,6 +402,9 @@ func packBest(ecc, v int32) int64 { return int64(ecc)<<32 | int64(v) }
 // still beat the packed best b: b's eccentricity, or one less when ties
 // lose (SweepCenter, root numbered above b's vertex).
 func (s *sweeper) cutoff(root int32, b int64) int32 {
+	if s.exact {
+		return noCutoff
+	}
 	r := int32(b >> 32)
 	if s.center && root > int32(b) {
 		return r - 1
@@ -504,7 +509,8 @@ func (s *sweeper) laneWorker() {
 // the first level where it discovers nothing new; it is abandoned at its
 // first discovery deeper than its cutoff, re-read whenever the shared best
 // changes. Every discovery of w at depth L proves ecc(w) >= L, which the
-// pass records in the shared bounds.
+// pass records in the shared bounds. An exact sweeper runs every lane to
+// completion.
 func (s *sweeper) lanePass(ls *laneScratch, roots []int32) {
 	col, row, lb := s.c.col, s.c.row, s.lb
 	seen, front, next := ls.seen, ls.front, ls.next
@@ -605,36 +611,82 @@ func lowestArgmax(d []int32) int {
 // batches over survivor subgraphs, which are disconnected exactly when a
 // partition has occurred. The empty graph has component diameter 0.
 //
-// It is exact, but skips every root the traversals so far prove cannot
-// raise the answer. A completed traversal from v proves ecc(w) <= ecc(v) +
-// d(v, w) for every w it reached (Takes & Kosters, "Computing the
-// Eccentricity Distribution of Large Graphs", Algorithms 2013), and a root
-// whose upper bound is at most the largest eccentricity found so far is
-// skipped. Roots are handed out in index order over a GOMAXPROCS worker
-// pool sharing the upper bounds and the running maximum. A traversal
-// reaches only its own component, so the bounds it sets never cross into
-// another one.
+// It is exact, and it picks one of two strategies from its first
+// traversal, a BFS from vertex 0. On a shallow graph, one where that
+// traversal ends before depth laneMaxDepth, every other root runs through
+// the 64-lane bit-parallel pass with no cutoff: a pass costs about
+// (ecc + 1) word steps per edge against 64 for its roots' scalar
+// traversals, and on such graphs the eccentricities are too close together
+// for bounds to skip many roots. On a deeper graph (rings, grids, tori)
+// roots are traversed one at a time, skipping every root the traversals
+// so far prove cannot raise the answer: a completed traversal from v
+// proves ecc(w) <= ecc(v) + d(v, w) for every w it reached (Takes &
+// Kosters, "Computing the Eccentricity Distribution of Large Graphs",
+// Algorithms 2013), and a root whose upper bound is at most the largest
+// eccentricity found so far is skipped. Either way roots are handed out in
+// index order over a GOMAXPROCS worker pool, and a traversal reaches only
+// its own component, so nothing it learns crosses into another one.
 func (g *Graph) ComponentDiameter() int {
-	diam, _ := g.componentDiameter()
+	diam, _, _ := g.componentDiameter()
 	return diam
 }
 
+// laneMaxDepth is the depth below which ComponentDiameter's first
+// traversal routes the remaining roots through lane passes. A pass over 64
+// roots at eccentricity e costs about (e + 1) / 64 of their scalar
+// traversals, while upper-bound pruning, which pays on deep graphs with
+// spread-out eccentricities such as grids, rarely fires on shallow ones.
+const laneMaxDepth = 16
+
 // componentDiameter is ComponentDiameter that also returns the number of
-// traversals it ran.
-func (g *Graph) componentDiameter() (diam, traversals int) {
+// traversals it ran (a lane counts as one) and whether it took the lane
+// path.
+func (g *Graph) componentDiameter() (diam, traversals int, laned bool) {
 	n := g.N()
 	if n == 0 {
-		return 0, 0
+		return 0, 0, false
 	}
 	c := newCSR(g)
+	sc := newSweepScratch(n)
+	ecc0, reached, _ := sc.bfs(c, 0, noCutoff)
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var wg sync.WaitGroup
+	if ecc0 < laneMaxDepth {
+		ecc := make([]int, n)
+		for i := range ecc {
+			ecc[i] = -1
+		}
+		ecc[0] = int(ecc0)
+		// Bounds pinned at noCutoff make every root viable and every
+		// raise the lane pass attempts a read-only no-op.
+		lb := make([]atomic.Int32, n)
+		for i := range lb {
+			lb[i].Store(noCutoff)
+		}
+		sw := &sweeper{c: c, ecc: ecc, lb: lb, exact: true}
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sw.laneWorker()
+			}()
+		}
+		wg.Wait()
+		return slices.Max(ecc), n, true
+	}
 	ub := make([]atomic.Int32, n) // upper bounds on eccentricity
 	for i := range ub {
 		ub[i].Store(math.MaxInt32)
 	}
+	for _, w := range sc.queue[:reached] {
+		ub[w].Store(ecc0 + sc.dist[w])
+	}
 	var best atomic.Int32 // the largest eccentricity found so far
+	best.Store(ecc0)
 	var next, done atomic.Int64
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), n) {
+	next.Store(1)
+	done.Store(1)
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -656,7 +708,7 @@ func (g *Graph) componentDiameter() (diam, traversals int) {
 		}()
 	}
 	wg.Wait()
-	return int(best.Load()), int(done.Load())
+	return int(best.Load()), int(done.Load()), false
 }
 
 // lower drops the shared bound *b to x if x is smaller. Upper bounds only

@@ -444,3 +444,32 @@ func TestSweepAbandonedTraversalReachesNextLevel(t *testing.T) {
 		}
 	}
 }
+
+// replayClasses are the five n = 256 network classes perfbench's replay
+// workload repairs over, which size their repair batches with
+// ComponentDiameter: a ring, a grid and a torus (relabelled), and random
+// connected graphs of mean degree about 6 and 10.
+func replayClasses() []sweepCase {
+	rng := rand.New(rand.NewSource(26))
+	return []sweepCase{
+		{"ring256", relabel(rng, Cycle(256))},
+		{"grid16x16", relabel(rng, Grid(16, 16))},
+		{"torus16x16", relabel(rng, Torus(16, 16))},
+		{"random256/deg6", RandomConnected(rng, 256, 6.0/256)},
+		{"random256/deg10", RandomConnected(rng, 256, 10.0/256)},
+	}
+}
+
+// BenchmarkComponentDiameter times ComponentDiameter on the replay
+// classes: the lane path on the random graphs, the bound-pruned scalar
+// loop on the ring, grid and torus.
+func BenchmarkComponentDiameter(b *testing.B) {
+	for _, tc := range replayClasses() {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tc.g.ComponentDiameter()
+			}
+		})
+	}
+}

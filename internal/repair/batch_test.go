@@ -1,11 +1,14 @@
 package repair
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"multigossip/internal/fault"
 	"multigossip/internal/graph"
+	"multigossip/internal/obs"
 	"multigossip/internal/schedule"
 )
 
@@ -28,7 +31,7 @@ func lossyHolds(t *testing.T, g *graph.Graph, seed int64) []*schedule.Bitset {
 // batch being planned again.
 func TestBatchSourceContract(t *testing.T) {
 	g := graph.Grid(4, 5)
-	pl := newPlanner(g.N(), g.N())
+	pl := newPlanner(g, g.N())
 	b := pl.plan(g, lossyHolds(t, g, 1), g.N())
 	if b.Time() < 2 || b.Processors() != g.N() || b.Messages() != g.N() {
 		t.Fatalf("batch of %d rounds over %d processors and %d messages", b.Time(), b.Processors(), b.Messages())
@@ -118,6 +121,80 @@ func TestRecordPlansAreIndependentCopies(t *testing.T) {
 		if cur[v].Count() != out.Holds[v].Count() || cur[v].CountAndNot(out.Holds[v]) != 0 {
 			t.Fatalf("replaying the recorded plans leaves processor %d with %v missing, the run %v",
 				v, cur[v].Missing(), out.Holds[v].Missing())
+		}
+	}
+}
+
+// opaque hides an injector's concrete type, so the executor asks it
+// through the fault.Injector interface instead of compiling it.
+type opaque struct{ inj fault.Injector }
+
+func (o opaque) Drop(t, tx, from, to, msg int) bool { return o.inj.Drop(t, tx, from, to, msg) }
+func (o opaque) Down(t, p int) bool                 { return o.inj.Down(t, p) }
+
+// eventLog records every observability event of a repair run, in order.
+type eventLog struct{ events []string }
+
+func (l *eventLog) add(a ...any)                       { l.events = append(l.events, fmt.Sprint(a...)) }
+func (l *eventLog) BeginPhase(phase, detail string)    { l.add("phase ", phase, detail) }
+func (l *eventLog) EndPhase(phase string)              { l.add("end phase ", phase) }
+func (l *eventLog) BeginRound(abs int)                 { l.add("begin ", abs) }
+func (l *eventLog) EndRound(abs int, s obs.RoundStats) { l.add("end ", abs, s) }
+func (l *eventLog) Delivery(abs, from, to, msg int, o obs.Outcome) {
+	l.add("delivery ", abs, from, to, msg, o)
+}
+func (l *eventLog) RepairIteration(it int, s obs.RepairStats) { l.add("iteration ", it, s) }
+func (l *eventLog) Quarantine(it int, links [][2]int, procs []int) {
+	l.add("quarantine ", it, links, procs)
+}
+
+// TestRunCompiledInjectorMatchesInterface runs the repair loop, whose
+// batches the executor replays under a compiled injector, against the same
+// injector behind opaque: the Outcome (hold sets, recorded plans,
+// quarantines, reachability) and the full event stream must be identical,
+// at loss rates 0 to 1 and with permanent faults that force quarantines.
+func TestRunCompiledInjectorMatchesInterface(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	graphs := map[string]*graph.Graph{
+		"ring30":   graph.Cycle(30),
+		"grid5x6":  graph.Grid(5, 6),
+		"random60": graph.RandomConnected(rng, 60, 6.0/60),
+	}
+	for gname, g := range graphs {
+		e := g.Edges()[g.M()/2]
+		res := buildCUD(t, g)
+		for _, p := range []float64{0, 0.001, 0.01, 0.5, 1} {
+			loss := fault.LinkLoss{P: p, Seed: int64(p*1000) + 3}
+			for iname, inj := range map[string]fault.Injector{
+				"loss":           loss,
+				"loss+deadlink":  fault.Compose{loss, fault.DeadLink{U: e.U, V: e.V}},
+				"loss+crashstop": fault.Compose{fault.CrashStop(g.N()/2, 4), loss},
+				"loss+crash":     fault.Compose{loss, fault.CrashWindow{Proc: 1, From: res.Schedule.Time(), To: res.Schedule.Time() + 6}},
+				"loss+dropset":   fault.Compose{loss, fault.DropSet{{Round: 2, Tx: 0, Dest: g.Neighbors(0)[0]}: true}},
+			} {
+				var outs [2]Outcome
+				var logs [2]eventLog
+				for i, in := range []fault.Injector{inj, opaque{inj}} {
+					holds, _, err := fault.ExecuteInjected(g, res.Schedule, in, nil, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					outs[i], err = Run(g, holds, Options{
+						Injector: in, RoundOffset: res.Schedule.Time(), Validate: true,
+						MaxIterations: 6, RecordPlans: true, Observer: &logs[i],
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				name := fmt.Sprintf("%s/p=%v/%s", gname, p, iname)
+				if !reflect.DeepEqual(outs[0], outs[1]) {
+					t.Fatalf("%s: compiled and interface outcomes differ", name)
+				}
+				if !reflect.DeepEqual(logs[0].events, logs[1].events) {
+					t.Fatalf("%s: compiled and interface event streams differ", name)
+				}
+			}
 		}
 	}
 }

@@ -64,12 +64,15 @@ func PlanRounds(g *graph.Graph, holds []*schedule.Bitset, maxRounds int) *schedu
 	if len(holds) > 0 {
 		nmsg = holds[0].Len()
 	}
-	return schedule.Collect(newPlanner(g.N(), nmsg).plan(g, holds, maxRounds))
+	return schedule.Collect(newPlanner(g, nmsg).plan(g, holds, maxRounds))
 }
 
 // planner is the greedy planner's state. Run keeps one across its
 // iterations, so the simulated hold sets, the per-sender scratch and the
-// batch the rounds go into are allocated once per run.
+// batch the rounds go into are allocated once per run. A sender's
+// destinations are its neighbours, so senderTo[u] is a window of one slab
+// with room for u's degree: planning over any subgraph of the planner's
+// graph never grows it.
 type planner struct {
 	sim       []*schedule.Bitset
 	senderMsg []int   // message processor u multicasts this round, -1 if idle
@@ -77,15 +80,18 @@ type planner struct {
 	b         batch
 }
 
-func newPlanner(n, nmsg int) *planner {
+func newPlanner(g *graph.Graph, nmsg int) *planner {
+	n := g.N()
 	p := &planner{
-		sim:       make([]*schedule.Bitset, n),
+		sim:       schedule.NewBitsets(n, nmsg),
 		senderMsg: make([]int, n),
 		senderTo:  make([][]int, n),
 		b:         batch{n: n, nmsg: nmsg},
 	}
-	for v := range p.sim {
-		p.sim[v] = schedule.NewBitset(nmsg)
+	slab := make([]int, 2*g.M())
+	for u := range p.senderTo {
+		d := g.Degree(u)
+		p.senderTo[u], slab = slab[:0:d], slab[d:]
 	}
 	return p
 }
@@ -264,18 +270,17 @@ func Run(g *graph.Graph, holds []*schedule.Bitset, opts Options) (Outcome, error
 	if len(holds) != n {
 		return Outcome{}, fmt.Errorf("repair: %d hold sets for %d processors", len(holds), n)
 	}
-	cur := make([]*schedule.Bitset, n)
 	for v, h := range holds {
 		if h.Len() != holds[0].Len() {
 			return Outcome{}, fmt.Errorf("repair: hold set %d sized %d, want %d", v, h.Len(), holds[0].Len())
 		}
-		cur[v] = h.Clone()
 	}
+	cur := schedule.CloneAll(holds)
 	out := Outcome{Holds: cur, ReachableCoverage: 1}
 	deficit := MissingPairs(cur)
 	if deficit == 0 {
 		out.Complete = true
-		out.Components = len(g.Components())
+		_, out.Components = g.ComponentLabels()
 		return out, nil
 	}
 	initialDeficit := deficit
@@ -293,6 +298,7 @@ func Run(g *graph.Graph, holds []*schedule.Bitset, opts Options) (Outcome, error
 	}
 	susp := newSuspicion(n, threshold)
 	surv := g
+	rch := newReach(surv, cur)
 	adaptiveCap := opts.RoundsPerIteration <= 0
 	baseCap := opts.RoundsPerIteration
 	if adaptiveCap {
@@ -302,10 +308,10 @@ func Run(g *graph.Graph, holds []*schedule.Bitset, opts Options) (Outcome, error
 	maxCap := max(n, baseCap)
 	offset := opts.RoundOffset
 	noProgress := 0
-	pl := newPlanner(n, holds[0].Len())
+	pl := newPlanner(g, holds[0].Len())
 loop:
 	for it := 0; it < iters && deficit > 0; it++ {
-		if reachableDeficit(surv, cur) == 0 {
+		if rch.deficit(cur) == 0 {
 			break // complete up to reachability: the rest has no live holder
 		}
 		plan := pl.plan(surv, cur, capRounds)
@@ -355,6 +361,7 @@ loop:
 				Iteration: it, Links: newLinks, Processors: newProcs,
 			})
 			surv = susp.survivorGraph(g)
+			rch = newReach(surv, next)
 			if adaptiveCap {
 				baseCap = max(1, surv.ComponentDiameter())
 				// Recovery after an amputation should finish in one
@@ -392,8 +399,8 @@ loop:
 	out.Complete = deficit == 0
 	out.QuarantinedLinks = susp.quarantinedLinks()
 	out.DownProcessors = susp.downProcessors()
-	out.Components = len(surv.Components())
-	out.Unreachable = unreachablePairs(surv, cur)
+	out.Components = rch.count
+	out.Unreachable = rch.unreachable(cur)
 	total := n * cur[0].Len()
 	if reachable := total - len(out.Unreachable); reachable > 0 {
 		out.ReachableCoverage = float64(total-deficit) / float64(reachable)

@@ -235,53 +235,55 @@ func (s *suspicion) downProcessors() []int {
 	return out
 }
 
-// componentUnions labels every vertex of surv with its connected component
-// and returns the per-component union of hold sets — the messages a
-// component can still spread internally. A down processor is isolated in
-// the survivor graph, so its singleton union is its own retained memory.
-func componentUnions(surv *graph.Graph, holds []*schedule.Bitset) (compOf []int, unions []*schedule.Bitset) {
-	comps := surv.Components()
-	compOf = make([]int, surv.N())
-	unions = make([]*schedule.Bitset, len(comps))
+// reach is the reachability analysis of one survivor graph: its component
+// labelling and the per-component union of hold sets, the messages a
+// component can still spread internally (a down processor is isolated, so
+// its singleton union is its own retained memory). Run builds one per
+// survivor graph and keeps it until a quarantine replaces the graph. The
+// unions stay exact meanwhile: repair rounds are planned over survivor
+// links only, so every delivery moves a message within its component and
+// no union changes.
+type reach struct {
+	compOf []int
+	count  int // number of components
+	unions []*schedule.Bitset
+}
+
+func newReach(surv *graph.Graph, holds []*schedule.Bitset) *reach {
+	r := &reach{}
+	r.compOf, r.count = surv.ComponentLabels()
 	nmsg := 0
 	if len(holds) > 0 {
 		nmsg = holds[0].Len()
 	}
-	for ci, comp := range comps {
-		u := schedule.NewBitset(nmsg)
-		for _, v := range comp {
-			compOf[v] = ci
-			u.Or(holds[v])
-		}
-		unions[ci] = u
+	r.unions = schedule.NewBitsets(r.count, nmsg)
+	for v, h := range holds {
+		r.unions[r.compOf[v]].Or(h)
 	}
-	return compOf, unions
+	return r
 }
 
-// reachableDeficit counts the missing (processor, message) pairs that a
-// repair over surv could still close: pairs whose message has a holder in
-// the processor's survivor component.
-func reachableDeficit(surv *graph.Graph, holds []*schedule.Bitset) int {
-	compOf, unions := componentUnions(surv, holds)
+// deficit counts the missing (processor, message) pairs that a repair
+// over the survivor graph could still close: pairs whose message has a
+// holder in the processor's survivor component.
+func (r *reach) deficit(holds []*schedule.Bitset) int {
 	deficit := 0
 	for v, h := range holds {
-		deficit += unions[compOf[v]].CountAndNot(h)
+		deficit += r.unions[r.compOf[v]].CountAndNot(h)
 	}
 	return deficit
 }
 
-// unreachablePairs lists the missing pairs beyond the reachable ceiling,
+// unreachable lists the missing pairs beyond the reachable ceiling,
 // ordered by (Processor, Message). Held pairs are never listed: a pair
 // already delivered is trivially "reachable".
-func unreachablePairs(surv *graph.Graph, holds []*schedule.Bitset) []Pair {
-	compOf, unions := componentUnions(surv, holds)
+func (r *reach) unreachable(holds []*schedule.Bitset) []Pair {
 	var out []Pair
+	var msgs []int
 	for v, h := range holds {
-		u := unions[compOf[v]]
-		for m := 0; m < h.Len(); m++ {
-			if !h.Has(m) && !u.Has(m) {
-				out = append(out, Pair{Processor: v, Message: m})
-			}
+		msgs = h.AppendClearInBoth(msgs[:0], r.unions[r.compOf[v]])
+		for _, m := range msgs {
+			out = append(out, Pair{Processor: v, Message: m})
 		}
 	}
 	return out

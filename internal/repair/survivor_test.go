@@ -1,6 +1,9 @@
 package repair
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"multigossip/internal/fault"
@@ -376,29 +379,82 @@ func TestSuspicionLinkResetOnSuccess(t *testing.T) {
 }
 
 // TestComponentUnionsAndUnreachable exercises the reachability analysis on
-// a hand-built disconnected survivor graph.
+// hand-built disconnected survivor graphs: one small enough to check by
+// hand, and one whose hold sets span several words, against a
+// bit-by-bit oracle.
 func TestComponentUnionsAndUnreachable(t *testing.T) {
 	// Components {0,1} and {2}; messages 0..2. Processor 2 holds 2 only.
 	surv := graph.New(3)
 	surv.AddEdge(0, 1)
-	holds := []*schedule.Bitset{
-		schedule.NewBitset(3), schedule.NewBitset(3), schedule.NewBitset(3),
-	}
+	holds := schedule.NewBitsets(3, 3)
 	holds[0].Set(0)
 	holds[1].Set(1)
 	holds[2].Set(2)
-	if got := reachableDeficit(surv, holds); got != 2 {
+	r := newReach(surv, holds)
+	if r.count != 2 {
+		t.Fatalf("%d components, want 2", r.count)
+	}
+	if got := r.deficit(holds); got != 2 {
 		// 0 can get 1, 1 can get 0; nobody can cross to or from 2.
-		t.Fatalf("reachableDeficit = %d, want 2", got)
+		t.Fatalf("deficit = %d, want 2", got)
 	}
-	want := []Pair{{0, 2}, {1, 2}, {2, 0}, {2, 1}}
-	got := unreachablePairs(surv, holds)
-	if len(got) != len(want) {
-		t.Fatalf("unreachablePairs = %v, want %v", got, want)
+	if got, want := r.unreachable(holds), []Pair{{0, 2}, {1, 2}, {2, 0}, {2, 1}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("unreachable = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("unreachablePairs = %v, want %v", got, want)
+
+	// 150 processors in three components plus isolated vertices, 150
+	// messages (three words, the last one partial), random sparse holds.
+	rng := rand.New(rand.NewSource(150))
+	const n = 150
+	surv = graph.New(n)
+	for v := 0; v+1 < n; v++ {
+		if v%50 != 49 && v%7 != 3 {
+			surv.AddEdge(v, v+1)
 		}
+	}
+	holds = schedule.NewBitsets(n, n)
+	for v, h := range holds {
+		h.Set(v)
+		for m := 0; m < n; m++ {
+			if rng.Intn(40) == 0 {
+				h.Set(m)
+			}
+		}
+	}
+	comps := surv.Components()
+	r = newReach(surv, holds)
+	if r.count != len(comps) {
+		t.Fatalf("%d components, want %d", r.count, len(comps))
+	}
+	var want []Pair
+	wantDeficit := 0
+	for _, comp := range comps {
+		union := schedule.NewBitset(n)
+		for _, v := range comp {
+			union.Or(holds[v])
+		}
+		for _, v := range comp {
+			for m := 0; m < n; m++ {
+				switch {
+				case holds[v].Has(m):
+				case union.Has(m):
+					wantDeficit++
+				default:
+					want = append(want, Pair{v, m})
+				}
+			}
+		}
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].Processor != want[j].Processor {
+			return want[i].Processor < want[j].Processor
+		}
+		return want[i].Message < want[j].Message
+	})
+	if got := r.deficit(holds); got != wantDeficit {
+		t.Fatalf("deficit = %d, want %d", got, wantDeficit)
+	}
+	if got := r.unreachable(holds); !reflect.DeepEqual(got, want) {
+		t.Fatalf("unreachable: %d pairs, want %d", len(got), len(want))
 	}
 }

@@ -16,6 +16,36 @@ func NewBitset(n int) *Bitset {
 	return &Bitset{words: make([]uint64, (n+63)/64), n: n}
 }
 
+// NewBitsets returns n empty bitsets of capacity size each, carved from
+// one shared word slab: three allocations however large n is, instead of
+// two per bitset. The bitsets are independent, but any one of them keeps
+// the whole slab alive.
+func NewBitsets(n, size int) []*Bitset {
+	w := (size + 63) / 64
+	slab := make([]uint64, n*w)
+	hdrs := make([]Bitset, n)
+	out := make([]*Bitset, n)
+	for i := range out {
+		hdrs[i] = Bitset{words: slab[i*w : (i+1)*w : (i+1)*w], n: size}
+		out[i] = &hdrs[i]
+	}
+	return out
+}
+
+// CloneAll returns independent copies of bs on one slab, as NewBitsets
+// lays them out. Every bitset must have the capacity of bs[0].
+func CloneAll(bs []*Bitset) []*Bitset {
+	size := 0
+	if len(bs) > 0 {
+		size = bs[0].n
+	}
+	out := NewBitsets(len(bs), size)
+	for i, b := range bs {
+		out[i].CopyFrom(b)
+	}
+	return out
+}
+
 // Len returns the capacity.
 func (b *Bitset) Len() int { return b.n }
 
@@ -83,13 +113,21 @@ func (b *Bitset) CountAndNot(o *Bitset) int {
 	return c
 }
 
-// Missing returns the indices of unset bits, ascending.
-func (b *Bitset) Missing() []int {
-	var out []int
-	for i := 0; i < b.n; i++ {
-		if !b.Has(i) {
-			out = append(out, i)
+// AppendClearInBoth appends to dst, ascending, every index clear in both
+// b and o, and returns the extended slice. Both bitsets must have the same
+// capacity.
+func (b *Bitset) AppendClearInBoth(dst []int, o *Bitset) []int {
+	for i, w := range b.words {
+		for x := ^(w | o.words[i]); x != 0; x &= x - 1 {
+			m := i*64 + bits.TrailingZeros64(x)
+			if m >= b.n {
+				break
+			}
+			dst = append(dst, m)
 		}
 	}
-	return out
+	return dst
 }
+
+// Missing returns the indices of unset bits, ascending.
+func (b *Bitset) Missing() []int { return b.AppendClearInBoth(nil, b) }

@@ -152,14 +152,13 @@ func Run(g *graph.Graph, s Source, opts Options) (*Result, error) {
 }
 
 func initialHolds(n, nmsg int, initial []*Bitset) ([]*Bitset, error) {
-	holds := make([]*Bitset, n)
 	if initial == nil {
 		if nmsg != n {
 			return nil, fmt.Errorf("schedule: default initial holds need NMsg == N, got %d != %d", nmsg, n)
 		}
-		for p := range holds {
-			holds[p] = NewBitset(nmsg)
-			holds[p].Set(p)
+		holds := NewBitsets(n, nmsg)
+		for p, h := range holds {
+			h.Set(p)
 		}
 		return holds, nil
 	}
@@ -170,9 +169,8 @@ func initialHolds(n, nmsg int, initial []*Bitset) ([]*Bitset, error) {
 		if h.Len() != nmsg {
 			return nil, fmt.Errorf("schedule: initial hold set %d sized %d, want %d", p, h.Len(), nmsg)
 		}
-		holds[p] = h.Clone()
 	}
-	return holds, nil
+	return CloneAll(initial), nil
 }
 
 func allFull(holds []*Bitset) bool {
