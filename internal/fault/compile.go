@@ -1,5 +1,7 @@
 package fault
 
+import "math"
+
 // compiled is an Injector flattened for the executor's inner loop, built
 // once per execution. A Compose is unpacked into its members. LinkLoss
 // members keep the hash prefixes their coin shares within a round and
@@ -22,7 +24,7 @@ type compiled struct {
 // after the round and after the sender is shared by every delivery of a
 // round and of a transmission.
 type lossCoin struct {
-	p     float64
+	thr   uint64 // a hash is a drop when its top 53 bits are below thr
 	seed  uint64
 	round uint64 // hash state after the current round
 	tx    uint64 // hash state after the current transmission's sender
@@ -56,7 +58,11 @@ func (c *compiled) add(inj Injector) {
 		case f.P >= 1:
 			c.dropAll = true
 		case f.P > 0:
-			c.coins = append(c.coins, lossCoin{p: f.P, seed: uint64(f.Seed)})
+			// LinkLoss.Drop compares k / 2^53 < P for a 53-bit integer
+			// k. Scaling by 2^53 is exact, so that is k < P·2^53, which
+			// for integer k is k < ceil(P·2^53).
+			thr := uint64(math.Ceil(f.P * (1 << 53)))
+			c.coins = append(c.coins, lossCoin{thr: thr, seed: uint64(f.Seed)})
 		} // P <= 0 (or NaN) never drops
 	case DropSet, DeadLink:
 		c.drops = append(c.drops, f)
@@ -92,9 +98,7 @@ func (c *compiled) drop(t, tx, from, to, msg int) bool {
 	}
 	for i := range c.coins {
 		k := &c.coins[i]
-		x := mix64(mix64(k.tx^c.mix[to]) ^ c.mix[msg])
-		// 53 uniform mantissa bits, exactly as LinkLoss.Drop.
-		if float64(x>>11)/(1<<53) < k.p {
+		if mix64(mix64(k.tx^c.mix[to])^c.mix[msg])>>11 < k.thr {
 			return true
 		}
 	}

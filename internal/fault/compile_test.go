@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"multigossip/internal/core"
@@ -21,29 +22,38 @@ type opaque struct{ inj Injector }
 func (o opaque) Drop(t, tx, from, to, msg int) bool { return o.inj.Drop(t, tx, from, to, msg) }
 func (o opaque) Down(t, p int) bool                 { return o.inj.Down(t, p) }
 
+// event is one observer event: a watch or Delivery outcome, a
+// BeginRound, or an EndRound with its stats.
+type event struct {
+	kind               byte // 'w' watch, 'd' Delivery, 'b' BeginRound, 'e' EndRound
+	abs, from, to, msg int
+	outcome            obs.Outcome
+	stats              obs.RoundStats
+}
+
 // eventLog records, in order, every per-delivery outcome the watch
 // observer sees and every round event the RoundObserver sees.
 type eventLog struct {
 	obs.Nop
-	events []string
+	events []event
 }
 
 func (l *eventLog) watch(abs, from, to, msg int, o DeliveryOutcome) {
-	l.events = append(l.events, fmt.Sprint("watch", abs, from, to, msg, o))
+	l.events = append(l.events, event{kind: 'w', abs: abs, from: from, to: to, msg: msg, outcome: o})
 }
-func (l *eventLog) BeginRound(abs int) { l.events = append(l.events, fmt.Sprint("begin", abs)) }
+func (l *eventLog) BeginRound(abs int) { l.events = append(l.events, event{kind: 'b', abs: abs}) }
 func (l *eventLog) EndRound(abs int, s obs.RoundStats) {
-	l.events = append(l.events, fmt.Sprintf("end %d %+v", abs, s))
+	l.events = append(l.events, event{kind: 'e', abs: abs, stats: s})
 }
 func (l *eventLog) Delivery(abs, from, to, msg int, o obs.Outcome) {
-	l.events = append(l.events, fmt.Sprint("delivery", abs, from, to, msg, o))
+	l.events = append(l.events, event{kind: 'd', abs: abs, from: from, to: to, msg: msg, outcome: o})
 }
 
 // tracedRun is one fully observed execution's result.
 type tracedRun struct {
 	holds   []*schedule.Bitset
 	dropped int
-	events  []string
+	events  []event
 }
 
 func runTraced(t testing.TB, g *graph.Graph, s schedule.Source, inj Injector, initial []*schedule.Bitset, offset int) tracedRun {
@@ -69,10 +79,10 @@ func checkCompiled(t testing.TB, name string, g *graph.Graph, s schedule.Source,
 	if !reflect.DeepEqual(got.holds, want.holds) {
 		t.Fatalf("%s: compiled and interface hold sets differ", name)
 	}
-	if !reflect.DeepEqual(got.events, want.events) {
+	if !slices.Equal(got.events, want.events) {
 		for i := range min(len(got.events), len(want.events)) {
 			if got.events[i] != want.events[i] {
-				t.Fatalf("%s: event %d: compiled %q, interface %q", name, i, got.events[i], want.events[i])
+				t.Fatalf("%s: event %d: compiled %+v, interface %+v", name, i, got.events[i], want.events[i])
 			}
 		}
 		t.Fatalf("%s: compiled emitted %d events, interface %d", name, len(got.events), len(want.events))
@@ -133,7 +143,7 @@ func TestCompiledInjectorMatchesInterface(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"ring40":   graph.Cycle(40),
 		"grid6x7":  graph.Grid(6, 7),
-		"random90": graph.RandomConnected(rng, 90, 6.0/90),
+		"random60": graph.RandomConnected(rng, 60, 6.0/60),
 	}
 	for gname, g := range graphs {
 		for sname, s := range differentialSources(t, g) {
@@ -168,6 +178,34 @@ func TestCompileFlattens(t *testing.T) {
 	}
 	if compile(nil, 4) != nil {
 		t.Fatal("compile(nil) is not nil")
+	}
+}
+
+// TestCoinThresholdMatchesFloat checks the compiled coin's integer
+// threshold at its boundary: for every loss rate, the largest 53-bit
+// value it drops and the smallest it keeps get the same answer from
+// LinkLoss.Drop's float comparison.
+func TestCoinThresholdMatchesFloat(t *testing.T) {
+	ps := []float64{1e-300, 0x1p-54, 0x1p-53, 0x1p-52, 0.001, 0.01, 0.1, 1.0 / 3, 0.5, 0.99, 1 - 0x1p-53}
+	rng := rand.New(rand.NewSource(53))
+	for i := 0; i < 1000; i++ {
+		ps = append(ps, rng.Float64())
+	}
+	drops := func(k uint64, p float64) bool { return float64(k)/(1<<53) < p }
+	for _, p := range ps {
+		if p <= 0 {
+			continue
+		}
+		thr := compile(LinkLoss{P: p}, 1).coins[0].thr
+		if thr == 0 || thr > 1<<53 {
+			t.Fatalf("P = %v: threshold %d outside [1, 2^53]", p, thr)
+		}
+		if !drops(thr-1, p) {
+			t.Fatalf("P = %v: float keeps %d, below the threshold %d", p, thr-1, thr)
+		}
+		if thr < 1<<53 && drops(thr, p) {
+			t.Fatalf("P = %v: float drops %d, the threshold", p, thr)
+		}
 	}
 }
 

@@ -106,13 +106,17 @@ func (p *planner) plan(g *graph.Graph, holds []*schedule.Bitset, maxRounds int) 
 	}
 	b.reset()
 	// Every planned delivery lands a distinct missing pair, and a round
-	// lands at most n: size the destination storage once, up front.
+	// lands at most n: size the destination storage once, up front, and
+	// the transmissions with it, since each carries a destination.
 	need := MissingPairs(holds)
 	if maxRounds < need/max(n, 1) {
 		need = maxRounds * n
 	}
 	if cap(b.to) < need {
 		b.to = make([]int, 0, need)
+	}
+	if cap(b.txs) < need {
+		b.txs = make([]batchTx, 0, need)
 	}
 	// A round adds at most n destinations; stop before the batch's int32
 	// offsets could overflow.
