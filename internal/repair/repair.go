@@ -403,7 +403,7 @@ loop:
 	out.Complete = deficit == 0
 	out.QuarantinedLinks = susp.quarantinedLinks()
 	out.DownProcessors = susp.downProcessors()
-	out.Components = rch.count
+	out.Components = len(rch.unions)
 	out.Unreachable = rch.unreachable(cur)
 	total := n * cur[0].Len()
 	if reachable := total - len(out.Unreachable); reachable > 0 {

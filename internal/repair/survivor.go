@@ -244,21 +244,19 @@ func (s *suspicion) downProcessors() []int {
 // links only, so every delivery moves a message within its component and
 // no union changes.
 type reach struct {
-	compOf []int
-	count  int // number of components
-	unions []*schedule.Bitset
+	compOf []int              // component label of every processor
+	unions []*schedule.Bitset // one per component
 }
 
 func newReach(surv *graph.Graph, holds []*schedule.Bitset) *reach {
-	r := &reach{}
-	r.compOf, r.count = surv.ComponentLabels()
+	compOf, count := surv.ComponentLabels()
 	nmsg := 0
 	if len(holds) > 0 {
 		nmsg = holds[0].Len()
 	}
-	r.unions = schedule.NewBitsets(r.count, nmsg)
+	r := &reach{compOf: compOf, unions: schedule.NewBitsets(count, nmsg)}
 	for v, h := range holds {
-		r.unions[r.compOf[v]].Or(h)
+		r.unions[compOf[v]].Or(h)
 	}
 	return r
 }

@@ -391,8 +391,8 @@ func TestComponentUnionsAndUnreachable(t *testing.T) {
 	holds[1].Set(1)
 	holds[2].Set(2)
 	r := newReach(surv, holds)
-	if r.count != 2 {
-		t.Fatalf("%d components, want 2", r.count)
+	if len(r.unions) != 2 {
+		t.Fatalf("%d components, want 2", len(r.unions))
 	}
 	if got := r.deficit(holds); got != 2 {
 		// 0 can get 1, 1 can get 0; nobody can cross to or from 2.
@@ -423,8 +423,8 @@ func TestComponentUnionsAndUnreachable(t *testing.T) {
 	}
 	comps := surv.Components()
 	r = newReach(surv, holds)
-	if r.count != len(comps) {
-		t.Fatalf("%d components, want %d", r.count, len(comps))
+	if len(r.unions) != len(comps) {
+		t.Fatalf("%d components, want %d", len(r.unions), len(comps))
 	}
 	var want []Pair
 	wantDeficit := 0
