@@ -102,9 +102,10 @@ serve-smoke:
 # Ten seconds each of coverage-guided fuzzing: the repair planner's
 # model-safety invariant (every emitted schedule must replay cleanly under
 # schedule.Run from the hold-state it was planned for), the implicit plan's
-# equivalence invariant (closed-form rounds, cursor rounds read in and out
-# of order, and timetables must be bit-identical to the materialising
-# builder on random connected graphs),
+# equivalence invariant (Plan.RoundAppend read at a fuzzer-chosen round and
+# then in a fuzzer-chosen order, cursor rounds read in and out of order,
+# and timetables must be bit-identical to the materialising builder on
+# random connected graphs),
 # the plan codec's no-panic invariant (arbitrary bytes — the store's
 # threat model after disk corruption — must decode to a valid plan or a
 # clean error, never a crash), and the async simulator's invariants on
@@ -146,8 +147,9 @@ churn-smoke:
 	$(GO) test -run='^TestChurnSmoke$$' .
 
 # Differential gate for the implicit plan encoding: every round of a seeded
-# random n = 4096 plan, from the closed form and from an in-order cursor,
-# compared bit-for-bit against the materialised builder, the >=100x
+# random n = 4096 plan, read through Plan.RoundAppend in order and in a
+# seeded shuffled order (every read a cursor seek) and from an in-order
+# cursor, compared bit-for-bit against the materialised builder, the >=100x
 # byte-ratio acceptance floor, and an n = 10^5 implicit construction — all
 # under GOMEMLIMIT so a space regression in either encoding fails loudly.
 plan-smoke:
@@ -155,7 +157,7 @@ plan-smoke:
 
 # Differential gate for the sharded event-loop simulator: a seeded random
 # n = 4096 simulation streamed round-by-round through a sink and held
-# bit-identical to the plan's closed-form schedule (O(n) memory, no
+# bit-identical to the plan's cursor schedule (O(n) memory, no
 # materialisation), then async runs under deterministic, uniform and
 # heavy-tail latency models asserting full coverage within the
 # n + 2r + maxLatency*height completion bound.
@@ -206,7 +208,7 @@ store-record:
 
 # Regenerate the BENCH_plan.json plan-encoding record: implicit O(n) plans
 # vs materialised O(n²) schedules (bytes, construction time, first-round
-# latency, closed-form vs cursor per-round enumeration) at n in
+# latency, random-order single-round reads and in-order cursor enumeration) at n in
 # {1024, 4096}, plus implicit-only construction runs at n in {10^5, 10^6}.
 # The full ring/grid materialisations take minutes; GOMEMLIMIT keeps the
 # ring n = 4096 one near 2.7 GB resident instead of over 6 GB.

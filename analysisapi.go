@@ -17,7 +17,7 @@ import (
 // processor may receive up to Ports messages per round (the paper's model
 // is Ports = 1).
 type KPortPlan struct {
-	network *Network
+	network *graph.Graph
 	sched   *schedule.Schedule
 	ports   int
 }
@@ -28,11 +28,12 @@ type KPortPlan struct {
 // With ports = 1 prefer PlanGossip, whose ConcurrentUpDown schedule is
 // provably n + r.
 func (nw *Network) PlanKPortGossip(ports int) (*KPortPlan, error) {
-	s, err := baseline.KPortGossip(nw.g, ports, 0)
+	g := nw.snapshotGraph()
+	s, err := baseline.KPortGossip(g, ports, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &KPortPlan{network: nw, sched: s, ports: ports}, nil
+	return &KPortPlan{network: g, sched: s, ports: ports}, nil
 }
 
 // Rounds returns the schedule's total communication time.
@@ -44,7 +45,7 @@ func (p *KPortPlan) Ports() int { return p.ports }
 // Verify re-validates the schedule under the k-port model and checks
 // completion.
 func (p *KPortPlan) Verify() error {
-	res, err := schedule.Run(p.network.g, p.sched, schedule.Options{RecvPorts: p.ports})
+	res, err := schedule.Run(p.network, p.sched, schedule.Options{RecvPorts: p.ports})
 	if err != nil {
 		return err
 	}

@@ -414,7 +414,7 @@ func parseAlgorithm(name string) (multigossip.Algorithm, error) {
 
 // planRequest asks for a schedule. include_rounds returns the full
 // schedule; rounds_from/rounds_count return just that round window,
-// streamed straight from the plan's closed-form evaluation — the response
+// streamed straight from the plan's pooled cursor — the response
 // cost is proportional to the window, not to the O(n²) schedule, so
 // clients can page through a huge plan round by round.
 type planRequest struct {

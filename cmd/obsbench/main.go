@@ -4,12 +4,14 @@
 // On a ring of -n processors it builds the ConcurrentUpDown plan once and
 // times the fault executor under Bernoulli link loss in five
 // configurations: the plain untraced entry point (fault.ExecuteInjected),
-// the traced entry point with a nil observer (the refactored hot path all
-// executions now share — the record asserts it prices identically to
-// untraced), and with the three shipped sinks attached: a
-// ProgressCollector (per-round curve only), a Tracer (timeline + atomic
-// outcome totals) and an Instrument-ed metrics Registry. The fault-free
-// validator (schedule.Run) is timed untraced and observed too.
+// the traced entry point with a nil observer (the hot path all executions
+// share, which should price the same as untraced), and with the three
+// shipped sinks attached: a ProgressCollector (per-round curve only), a
+// Tracer (timeline + atomic outcome totals) and an Instrument-ed metrics
+// Registry. The fault-free validator (schedule.Run) is timed untraced and
+// observed too. Every case is timed repeats times, round-robin; the record
+// keeps the median ns/op with its quartiles, and each overhead compares
+// medians.
 //
 //	go run ./cmd/obsbench -out BENCH_obs.json
 package main
@@ -18,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 
 	"multigossip/internal/cliutil"
@@ -28,11 +31,20 @@ import (
 	"multigossip/internal/schedule"
 )
 
+// repeats is how many times each case is timed. The repetitions run
+// round-robin over the cases, so a slow spell of the host lands on every
+// case alike.
+const repeats = 7
+
 type caseRecord struct {
-	Name     string `json:"name"`
-	NsOp     int64  `json:"ns_op"`
-	AllocsOp int64  `json:"allocs_op"`
-	BytesOp  int64  `json:"bytes_op"`
+	Name string `json:"name"`
+	// NsOp is the median ns/op of the repeats; NsOpQ1 and NsOpQ3 are the
+	// lower and upper quartiles.
+	NsOp     int64 `json:"ns_op"`
+	NsOpQ1   int64 `json:"ns_op_q1"`
+	NsOpQ3   int64 `json:"ns_op_q3"`
+	AllocsOp int64 `json:"allocs_op"`
+	BytesOp  int64 `json:"bytes_op"`
 	// OverheadVsUntraced is NsOp over the matching untraced baseline's NsOp
 	// minus one: 0.01 means 1% slower.
 	OverheadVsUntraced float64 `json:"overhead_vs_untraced"`
@@ -44,26 +56,48 @@ type report struct {
 	N        int          `json:"n"`
 	Rounds   int          `json:"rounds"`
 	LossRate float64      `json:"loss_rate"`
+	Repeats  int          `json:"repeats"`
 	Cases    []caseRecord `json:"cases"`
 }
 
-func bench(name string, baseline int64, f func()) caseRecord {
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			f()
+// benchCase is one timed configuration; baseline names the untraced case
+// its overhead is taken against, empty for a baseline itself.
+type benchCase struct {
+	name, baseline string
+	f              func()
+}
+
+// run times every case repeats times, round-robin, and records the median
+// and quartiles of each case's ns/op, with overheads from the medians.
+func run(cases []benchCase) []caseRecord {
+	ns := make([][]int64, len(cases))
+	recs := make([]caseRecord, len(cases))
+	for r := 0; r < repeats; r++ {
+		for i, c := range cases {
+			res := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for k := 0; k < b.N; k++ {
+					c.f()
+				}
+			})
+			ns[i] = append(ns[i], res.NsPerOp())
+			recs[i].AllocsOp, recs[i].BytesOp = res.AllocsPerOp(), res.AllocedBytesPerOp()
 		}
-	})
-	rec := caseRecord{
-		Name:     name,
-		NsOp:     res.NsPerOp(),
-		AllocsOp: res.AllocsPerOp(),
-		BytesOp:  res.AllocedBytesPerOp(),
 	}
-	if baseline > 0 {
-		rec.OverheadVsUntraced = float64(rec.NsOp)/float64(baseline) - 1
+	median := map[string]int64{}
+	for i, c := range cases {
+		xs := ns[i]
+		slices.Sort(xs)
+		recs[i].Name = c.name
+		recs[i].NsOp, recs[i].NsOpQ1, recs[i].NsOpQ3 = xs[len(xs)/2], xs[len(xs)/4], xs[len(xs)*3/4]
+		median[c.name] = recs[i].NsOp
 	}
-	return rec
+	for i, c := range cases {
+		if base := median[c.baseline]; base > 0 {
+			recs[i].OverheadVsUntraced = float64(recs[i].NsOp)/float64(base) - 1
+		}
+	}
+	return recs
 }
 
 func main() {
@@ -87,57 +121,46 @@ func main() {
 		N:        *n,
 		Rounds:   s.Time(),
 		LossRate: *loss,
+		Repeats:  repeats,
 	}
 
 	// Fault executor family. Every traced case reuses one long-lived sink,
 	// the way a bench harness or server would.
-	untraced := bench("fault/untraced", 0, func() {
-		if _, _, err := fault.ExecuteInjected(g, s, inj, nil, 0); err != nil {
-			panic(err)
-		}
-	})
-	rep.Cases = append(rep.Cases, untraced)
-	rep.Cases = append(rep.Cases, bench("fault/nil-observer", untraced.NsOp, func() {
-		if _, _, err := fault.ExecuteTraced(g, s, inj, nil, 0, nil, nil); err != nil {
-			panic(err)
-		}
-	}))
 	progress := obs.NewProgressCollector(*n, *n**n)
-	rep.Cases = append(rep.Cases, bench("fault/progress", untraced.NsOp, func() {
-		if _, _, err := fault.ExecuteTraced(g, s, inj, nil, 0, nil, progress); err != nil {
-			panic(err)
-		}
-	}))
 	tracer := obs.NewTracer()
-	rep.Cases = append(rep.Cases, bench("fault/tracer", untraced.NsOp, func() {
-		if _, _, err := fault.ExecuteTraced(g, s, inj, nil, 0, nil, tracer); err != nil {
-			panic(err)
+	instrument := obs.Instrument(obs.NewRegistry())
+	execute := func(o obs.RoundObserver) func() {
+		return func() {
+			if _, _, err := fault.ExecuteTraced(g, s, inj, nil, 0, nil, o); err != nil {
+				panic(err)
+			}
 		}
-	}))
-	registry := obs.NewRegistry()
-	instrument := obs.Instrument(registry)
-	rep.Cases = append(rep.Cases, bench("fault/metrics", untraced.NsOp, func() {
-		if _, _, err := fault.ExecuteTraced(g, s, inj, nil, 0, nil, instrument); err != nil {
-			panic(err)
+	}
+	validate := func(o obs.RoundObserver) func() {
+		return func() {
+			if _, err := schedule.Run(g, s, schedule.Options{Observer: o}); err != nil {
+				panic(err)
+			}
 		}
-	}))
-
-	// Fault-free validator family.
-	vUntraced := bench("validate/untraced", 0, func() {
-		if _, err := schedule.Run(g, s, schedule.Options{}); err != nil {
-			panic(err)
-		}
+	}
+	rep.Cases = run([]benchCase{
+		{"fault/untraced", "", func() {
+			if _, _, err := fault.ExecuteInjected(g, s, inj, nil, 0); err != nil {
+				panic(err)
+			}
+		}},
+		{"fault/nil-observer", "fault/untraced", execute(nil)},
+		{"fault/progress", "fault/untraced", execute(progress)},
+		{"fault/tracer", "fault/untraced", execute(tracer)},
+		{"fault/metrics", "fault/untraced", execute(instrument)},
+		// Fault-free validator family.
+		{"validate/untraced", "", validate(nil)},
+		{"validate/metrics", "validate/untraced", validate(instrument)},
 	})
-	rep.Cases = append(rep.Cases, vUntraced)
-	rep.Cases = append(rep.Cases, bench("validate/metrics", vUntraced.NsOp, func() {
-		if _, err := schedule.Run(g, s, schedule.Options{Observer: instrument}); err != nil {
-			panic(err)
-		}
-	}))
 
-	fmt.Printf("%-22s %14s %10s %12s %10s\n", "case", "ns/op", "allocs/op", "bytes/op", "overhead")
+	fmt.Printf("%-22s %14s %14s %14s %10s %12s %10s\n", "case", "ns/op", "q1", "q3", "allocs/op", "bytes/op", "overhead")
 	for _, c := range rep.Cases {
-		fmt.Printf("%-22s %14d %10d %12d %9.2f%%\n", c.Name, c.NsOp, c.AllocsOp, c.BytesOp, 100*c.OverheadVsUntraced)
+		fmt.Printf("%-22s %14d %14d %14d %10d %12d %9.2f%%\n", c.Name, c.NsOp, c.NsOpQ1, c.NsOpQ3, c.AllocsOp, c.BytesOp, 100*c.OverheadVsUntraced)
 	}
 
 	if err := cliutil.WriteRecord(*out, rep); err != nil {

@@ -11,10 +11,10 @@
 // holding round 0's transmissions. It also reports the resident bytes of
 // both encodings and their ratio, the headline of the record: the implicit
 // plan answers the same queries bit-identically from ~28n bytes while the
-// materialised schedule stores Θ(n²) destination ids. Two per-round costs
-// of enumerating the whole schedule in order close each row: the closed
-// form's random-access RoundAppend, and the implicit.Cursor that carries
-// the previous round's state forward.
+// materialised schedule stores Θ(n²) destination ids. Two read costs close
+// each row: a seeded sample of single rounds read in random order through
+// Plan.RoundAppend, each one a cursor seek, and the per-round cost of a
+// cursor enumerating the whole schedule in order.
 //
 // Sizes in -big run the implicit side only (the materialised schedule at
 // n = 10⁶ would be ~8 TB): a seeded random recursive tree is labelled and
@@ -23,8 +23,9 @@
 //
 // With -smoke the command runs the CI differential gate instead of the
 // benchmark: on a seeded random connected graph at n = 4096 every round of
-// the implicit plan, read both from the closed form and from a cursor, is
-// compared bit-for-bit against the materialised builder, a sample of
+// the implicit plan, read through Plan.RoundAppend in order and in a
+// seeded shuffled order and from a cursor, is compared bit-for-bit against
+// the materialised builder, a sample of
 // vertex timetables is checked against the materialised VertexView, the
 // ≥100x byte-ratio acceptance floor is asserted, and an n = 10⁵ implicit
 // plan is constructed and probed. The Makefile runs this under GOMEMLIMIT
@@ -64,7 +65,7 @@ type record struct {
 	MaterialisedBuildNs      int64   `json:"materialised_build_ns"`
 	ImplicitFirstRoundNs     int64   `json:"implicit_first_round_ns"`
 	MaterialisedFirstRoundNs int64   `json:"materialised_first_round_ns"`
-	RoundAppendNsPerRound    int64   `json:"round_append_ns_per_round"`
+	SeekNsPerRead            int64   `json:"seek_ns_per_read"`
 	CursorNsPerRound         int64   `json:"cursor_ns_per_round"`
 }
 
@@ -97,6 +98,10 @@ func materialisedBytes(s *schedule.Schedule) int64 {
 	}
 	return b
 }
+
+// seekSample is the number of random-order single-round reads timed per
+// case.
+const seekSample = 64
 
 // best times f reps times and returns the fastest run in nanoseconds.
 func best(reps int, f func()) int64 {
@@ -166,14 +171,16 @@ func measure(kind string, n, reps int) record {
 	}
 	_ = first
 
-	// Steady-state query cost averaged over the whole schedule, from the
-	// closed form and from a cursor.
+	// Read costs: a seeded sample of single rounds in random order, each a
+	// seek of the plan's pooled cursor, and a cursor's whole schedule in
+	// order.
 	rounds := plan.Rounds()
+	rng := rand.New(rand.NewSource(int64(n)))
 	start := time.Now()
-	for t := 0; t < rounds; t++ {
-		buf = plan.RoundAppend(t, buf[:0])
+	for i := 0; i < seekSample; i++ {
+		buf = plan.RoundAppend(rng.Intn(rounds), buf[:0])
 	}
-	perRound := time.Since(start).Nanoseconds() / int64(rounds)
+	perSeek := time.Since(start).Nanoseconds() / seekSample
 	cur := plan.Cursor()
 	start = time.Now()
 	for t := 0; t < rounds; t++ {
@@ -198,7 +205,7 @@ func measure(kind string, n, reps int) record {
 		MaterialisedBuildNs:      matBuild,
 		ImplicitFirstRoundNs:     implicitFirst,
 		MaterialisedFirstRoundNs: matFirst,
-		RoundAppendNsPerRound:    perRound,
+		SeekNsPerRead:            perSeek,
 		CursorNsPerRound:         cursorPerRound,
 	}
 }
@@ -257,8 +264,13 @@ func smoke() error {
 		if !equalRound(buf, want) {
 			return fmt.Errorf("round %d diverges from the materialised schedule", t)
 		}
-		if !equalRound(cbuf, buf) {
-			return fmt.Errorf("cursor round %d diverges from the closed form", t)
+		if !equalRound(cbuf, want) {
+			return fmt.Errorf("cursor round %d diverges from the materialised schedule", t)
+		}
+	}
+	for _, t := range rand.New(rand.NewSource(1)).Perm(plan.Rounds()) {
+		if buf = plan.RoundAppend(t, buf[:0]); !equalRound(buf, s.Rounds[t]) {
+			return fmt.Errorf("round %d read out of order diverges from the materialised schedule", t)
 		}
 	}
 	origTree := spantree.MustFromParents(treeParentsInOriginalIDs(l))
@@ -272,7 +284,7 @@ func smoke() error {
 	if ratio := mb / ib; ratio < 100 {
 		return fmt.Errorf("materialised/implicit byte ratio %dx fell below the 100x floor (implicit %d, materialised %d)", ratio, ib, mb)
 	}
-	fmt.Printf("plan-smoke: n=%d closed-form and cursor differential ok over %d rounds; implicit %d B vs materialised %d B (%.0fx)\n",
+	fmt.Printf("plan-smoke: n=%d in-order, shuffled and cursor differential ok over %d rounds; implicit %d B vs materialised %d B (%.0fx)\n",
 		n, plan.Rounds()+1, ib, mb, float64(mb)/float64(ib))
 
 	const big = 100_000
@@ -323,9 +335,9 @@ func main() {
 		os.Exit(2)
 	}
 	rep := report{Env: cliutil.NewEnv("cmd/planbench",
-		"implicit O(n) plan encoding vs materialised O(n²) schedule: bytes, construction, first-round latency, per-round enumeration (closed form vs cursor)")}
+		"implicit O(n) plan encoding vs materialised O(n²) schedule: bytes, construction, first-round latency, random-order single-round reads (seeks) and in-order cursor enumeration")}
 	fmt.Printf("%-8s %7s %7s %12s %14s %8s %13s %13s %12s %14s %12s %10s\n",
-		"topology", "n", "rounds", "impl bytes", "mat bytes", "ratio", "impl build", "mat build", "impl rd0", "mat rd0", "closed/rd", "cursor/rd")
+		"topology", "n", "rounds", "impl bytes", "mat bytes", "ratio", "impl build", "mat build", "impl rd0", "mat rd0", "seek/rd", "cursor/rd")
 	for _, kind := range []string{"ring", "grid", "random"} {
 		for _, n := range ns {
 			reps := 3
@@ -337,7 +349,7 @@ func main() {
 			fmt.Printf("%-8s %7d %7d %12d %14d %7.0fx %13d %13d %12d %14d %12d %10d\n",
 				r.Topology, r.N, r.Rounds, r.ImplicitBytes, r.MaterialisedBytes, r.BytesRatio,
 				r.ImplicitBuildNs, r.MaterialisedBuildNs, r.ImplicitFirstRoundNs, r.MaterialisedFirstRoundNs,
-				r.RoundAppendNsPerRound, r.CursorNsPerRound)
+				r.SeekNsPerRead, r.CursorNsPerRound)
 		}
 	}
 	for _, n := range bigNs {

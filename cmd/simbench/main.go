@@ -17,7 +17,7 @@
 // With -smoke the command runs the CI differential gate instead: on a
 // seeded random connected graph at n = 4096 the simulator streams every
 // round through a sink and each transmission is compared bit-for-bit
-// against the plan's closed-form timetable (implicit.RoundAppend), then
+// against the plan's own rounds (implicit.Plan.RoundAppend), then
 // async runs under deterministic, uniform and heavy-tail latency models
 // must deliver all n(n-1) messages within the n + 2r + maxLatency·height
 // completion bound.
@@ -131,7 +131,7 @@ func runCase(topology string, p *implicit.Plan, o sim.Options) record {
 
 // smoke is the CI gate: the simulator's live transmissions, streamed
 // round by round through a sink, must be bit-identical to the plan's
-// closed-form schedule, and async completion must respect the
+// rounds, and async completion must respect the
 // n + 2r + maxLatency·height bound under every latency model.
 func smoke() error {
 	const n = 4096
@@ -211,7 +211,7 @@ func smoke() error {
 	if res.Deliveries != int64(n)*int64(n-1) {
 		return fmt.Errorf("sync: %d deliveries, want %d", res.Deliveries, n*(n-1))
 	}
-	fmt.Printf("sim-smoke: n=%d sync differential ok: %d rounds bit-identical to the closed-form schedule (%d transmissions)\n",
+	fmt.Printf("sim-smoke: n=%d sync differential ok: %d rounds bit-identical to the plan's rounds (%d transmissions)\n",
 		n, rounds, res.Sends)
 
 	// Async gate: full coverage within n + 2r + maxLat·height under each

@@ -27,11 +27,12 @@ type GatherPlan struct {
 // PlanGather builds a schedule delivering every processor's message to
 // dst in exactly n - 1 rounds (optimal: dst receives one per round).
 func (nw *Network) PlanGather(dst int) (*GatherPlan, error) {
-	s, err := collectives.Gather(nw.g, dst)
+	g := nw.snapshotGraph()
+	s, err := collectives.Gather(g, dst)
 	if err != nil {
 		return nil, err
 	}
-	return &GatherPlan{network: nw.g, sched: s, target: dst}, nil
+	return &GatherPlan{network: g, sched: s, target: dst}, nil
 }
 
 // Rounds returns the gather's total communication time.
@@ -51,11 +52,12 @@ type ScatterPlan struct {
 // to every processor (message m goes to processor m) in exactly n - 1
 // rounds, the time reversal of the gather.
 func (nw *Network) PlanScatter(src int) (*ScatterPlan, error) {
-	s, err := collectives.Scatter(nw.g, src)
+	g := nw.snapshotGraph()
+	s, err := collectives.Scatter(g, src)
 	if err != nil {
 		return nil, err
 	}
-	return &ScatterPlan{network: nw.g, sched: s, source: src}, nil
+	return &ScatterPlan{network: g, sched: s, source: src}, nil
 }
 
 // Rounds returns the scatter's total communication time.
@@ -86,7 +88,7 @@ func (nw *Network) PlanMulticasts(batch []Multicast) (*MulticastPlan, error) {
 	for i, b := range batch {
 		msgs[i] = mmc.Message{Origin: b.Origin, Dests: append([]int(nil), b.Dests...)}
 	}
-	inst := &mmc.Instance{G: nw.g, Msgs: msgs}
+	inst := &mmc.Instance{G: nw.snapshotGraph(), Msgs: msgs}
 	s, err := mmc.Schedule(inst, 0)
 	if err != nil {
 		return nil, err

@@ -83,7 +83,7 @@ type Info struct {
 	// tree of Section 3.1, is a deterministic function of that tree, and
 	// is servable by the disk store, which persists the packed tree.
 	TreeBased bool
-	// ImplicitBacked: rounds evaluate from the O(n) closed form; the plan
+	// ImplicitBacked: rounds stream from the O(n) packed tree; the plan
 	// never holds its Θ(n²) schedule.
 	ImplicitBacked bool
 	// ExactBound: Bound is the exact total time, not just an upper bound.

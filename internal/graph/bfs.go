@@ -109,8 +109,11 @@ func (g *Graph) IsConnected() bool {
 	return true
 }
 
-// Components returns the connected components as slices of vertices, each
-// sorted, ordered by their smallest vertex.
+// Components returns the connected components as slices of vertices,
+// ordered by their smallest vertex. Each lists its vertices in
+// breadth-first order from that smallest vertex, neighbours in adjacency
+// order, so it is not sorted: edges {0,2},{2,1} give [[0 2 1]]. Seeded
+// generators (RandomConnected) depend on this order.
 func (g *Graph) Components() [][]int {
 	n := g.N()
 	seen := make([]bool, n)

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -182,6 +183,19 @@ func TestComponents(t *testing.T) {
 	}
 	if len(comps[0]) != 2 || len(comps[1]) != 3 || len(comps[2]) != 1 {
 		t.Fatalf("component sizes wrong: %v", comps)
+	}
+}
+
+// TestComponentsBFSOrder pins the order within a component: breadth-first
+// from its smallest vertex, not sorted. RandomConnected's seeded outputs
+// depend on it.
+func TestComponentsBFSOrder(t *testing.T) {
+	g := New(5)
+	g.AddEdge(0, 2)
+	g.AddEdge(2, 1)
+	g.AddEdge(4, 3)
+	if got, want := g.Components(), [][]int{{0, 2, 1}, {3, 4}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Components() = %v, want %v", got, want)
 	}
 }
 

@@ -36,7 +36,7 @@ const rootMark = ^uint32(0)
 var ErrCodec = errors.New("implicit: malformed plan encoding")
 
 // EncodedLen returns the exact byte length AppendBinary produces for p.
-func (p *Plan) EncodedLen() int { return codecHeaderLen + 8*p.n }
+func (p *Plan) EncodedLen() int { return codecHeaderLen + 8*p.topo.N }
 
 // AppendBinary appends the plan's wire encoding to dst and returns the
 // extended slice: the 12-byte header (magic, n, height), then the canonical
@@ -44,16 +44,16 @@ func (p *Plan) EncodedLen() int { return codecHeaderLen + 8*p.n }
 // uint32s. 8 bytes per vertex.
 func (p *Plan) AppendBinary(dst []byte) []byte {
 	dst = append(dst, codecMagic[:]...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.n))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.height))
-	for _, par := range p.parent {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.topo.N))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.topo.Height))
+	for _, par := range p.topo.Parent {
 		if par < 0 {
 			dst = binary.LittleEndian.AppendUint32(dst, rootMark)
 		} else {
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(par))
 		}
 	}
-	for _, v := range p.vertexOf {
+	for _, v := range p.topo.VertexOf {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
 	}
 	return dst
@@ -82,17 +82,8 @@ func Decode(data []byte) (*Plan, error) {
 	}
 	n := int(n64)
 
-	p := &Plan{
-		n:          n,
-		height:     height,
-		hi:         make([]int32, n),
-		level:      make([]int32, n),
-		parent:     make([]int32, n),
-		childStart: make([]int32, n+1),
-		lip:        make([]uint64, (n+63)/64),
-		vertexOf:   make([]int32, n),
-		labelOf:    make([]int32, n),
-	}
+	p := &Plan{topo: newTopo(n, height)}
+	t := &p.topo
 
 	// Parents: the root is label 0, and in DFS preorder every other vertex's
 	// parent carries a strictly smaller label.
@@ -104,11 +95,11 @@ func Decode(data []byte) (*Plan, error) {
 			if raw != rootMark {
 				return nil, fmt.Errorf("%w: label 0 has parent %d, want root", ErrCodec, raw)
 			}
-			p.parent[0] = -1
+			t.Parent[0] = -1
 		case int64(raw) >= int64(v):
 			return nil, fmt.Errorf("%w: label %d has parent %d, want < %d", ErrCodec, v, raw, v)
 		default:
-			p.parent[v] = int32(raw)
+			t.Parent[v] = int32(raw)
 		}
 	}
 
@@ -121,20 +112,20 @@ func Decode(data []byte) (*Plan, error) {
 			return nil, fmt.Errorf("%w: vertexOf[%d]=%d is out of range or repeated", ErrCodec, v, raw)
 		}
 		seen[raw] = true
-		p.vertexOf[v] = int32(raw)
-		p.labelOf[raw] = int32(v)
+		t.VertexOf[v] = int32(raw)
+		t.LabelOf[raw] = int32(v)
 	}
 
 	// Re-derive subtree intervals: a vertex's interval closes at the highest
 	// label among its descendants. Processing labels in descending order
 	// finalises every child before its parent folds it in.
-	for v := range p.hi {
-		p.hi[v] = int32(v)
+	for v := range t.Hi {
+		t.Hi[v] = int32(v)
 	}
 	for v := n - 1; v >= 1; v-- {
-		par := p.parent[v]
-		if p.hi[v] > p.hi[par] {
-			p.hi[par] = p.hi[v]
+		par := t.Parent[v]
+		if t.Hi[v] > t.Hi[par] {
+			t.Hi[par] = t.Hi[v]
 		}
 	}
 
@@ -144,38 +135,38 @@ func Decode(data []byte) (*Plan, error) {
 	// subtree ended. Parents that merely precede their children do not
 	// guarantee this; a plan whose closed forms index by interval does.
 	for v := 1; v < n; v++ {
-		p.childStart[p.parent[v]+1]++
+		t.ChildStart[t.Parent[v]+1]++
 	}
 	for v := 0; v < n; v++ {
-		p.childStart[v+1] += p.childStart[v]
+		t.ChildStart[v+1] += t.ChildStart[v]
 	}
-	p.children = make([]int32, n-1)
+	t.Children = make([]int32, n-1)
 	fill := make([]int32, n)
-	copy(fill, p.childStart[:n])
+	copy(fill, t.ChildStart[:n])
 	for v := 1; v < n; v++ {
-		par := p.parent[v]
-		p.children[fill[par]] = int32(v)
+		par := t.Parent[v]
+		t.Children[fill[par]] = int32(v)
 		fill[par]++
 	}
 	for v := 0; v < n; v++ {
 		expect := int32(v) + 1
-		for _, c := range p.kids(int32(v)) {
+		for _, c := range t.Kids(int32(v)) {
 			if c != expect {
 				return nil, fmt.Errorf("%w: subtree of %d is not a contiguous interval (child %d, want %d)", ErrCodec, v, c, expect)
 			}
-			expect = p.hi[c] + 1
+			expect = t.Hi[c] + 1
 		}
-		if len(p.kids(int32(v))) > 0 && expect != p.hi[v]+1 {
-			return nil, fmt.Errorf("%w: children of %d cover up to %d, interval closes at %d", ErrCodec, v, expect-1, p.hi[v])
+		if len(t.Kids(int32(v))) > 0 && expect != t.Hi[v]+1 {
+			return nil, fmt.Errorf("%w: children of %d cover up to %d, interval closes at %d", ErrCodec, v, expect-1, t.Hi[v])
 		}
 	}
 
 	// Levels and height; the header height is redundant and must agree.
 	maxLevel := 0
 	for v := 1; v < n; v++ {
-		p.level[v] = p.level[p.parent[v]] + 1
-		if int(p.level[v]) > maxLevel {
-			maxLevel = int(p.level[v])
+		t.Level[v] = t.Level[t.Parent[v]] + 1
+		if int(t.Level[v]) > maxLevel {
+			maxLevel = int(t.Level[v])
 		}
 	}
 	if height != maxLevel {
@@ -185,8 +176,8 @@ func Decode(data []byte) (*Plan, error) {
 	// Lip bits: v is its parent's first child exactly when v == parent+1 in
 	// canonical space.
 	for v := 1; v < n; v++ {
-		if int32(v) == p.parent[v]+1 {
-			p.lip[v>>6] |= 1 << (v & 63)
+		if int32(v) == t.Parent[v]+1 {
+			t.LipBits[v>>6] |= 1 << (v & 63)
 		}
 	}
 	return p, nil
@@ -197,9 +188,9 @@ func Decode(data []byte) (*Plan, error) {
 // tree edge of a decoded plan against the accompanying topology without
 // materialising the tree.
 func (p *Plan) ParentOriginal(v int) int {
-	par := p.parent[p.labelOf[v]]
+	par := p.topo.Parent[p.topo.LabelOf[v]]
 	if par < 0 {
 		return -1
 	}
-	return int(p.vertexOf[par])
+	return int(p.topo.VertexOf[par])
 }

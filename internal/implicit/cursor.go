@@ -7,16 +7,21 @@ import (
 	"multigossip/internal/schedule"
 )
 
-// Cursor enumerates a plan's rounds in time order for O(internal vertices +
-// deliveries) work per round, against O(n·h) for the closed form. It keeps
-// the state of the paper's online variant (Section 4) over the packed
-// arrays: the message each internal vertex receives from its parent this
-// round, and the at most two arrivals it holds back under rule D2. Output
-// is bit-identical to RoundAppend, transmission order included. A Cursor
-// implements schedule.Source: an in-order read advances the cursor, a read
-// of round 0 rewinds it, and any other read falls back to the closed form,
-// so every access pattern returns the right round. Not safe for concurrent
-// use; take one cursor per pass.
+// unresolved marks a D2 capture slot that a seek skipped over: the capture
+// is taken from the closed form when the release slot is reached.
+const unresolved = -2
+
+// Cursor enumerates a plan's rounds for O(internal vertices + deliveries)
+// work per round read in order. It keeps the state of the paper's online
+// variant (Section 4) over the packed arrays: the message each internal
+// vertex receives from its parent this round, and the at most two arrivals
+// it holds back under rule D2. A read of any other round seeks: every
+// internal vertex's arrival is set from the closed form (O(h) per vertex
+// at worst), captures whose slots lie before the target are marked
+// unresolved and taken from the closed form at their release slot, and
+// the round is then stepped as usual. Output is bit-identical to the
+// materialised schedule, transmission order included. A Cursor implements
+// schedule.Source. Not safe for concurrent use; take one cursor per pass.
 type Cursor struct {
 	p *Plan
 	t int // the round the next in-order read emits
@@ -41,23 +46,24 @@ type Cursor struct {
 // Cursor returns a cursor positioned at round 0. Construction is O(n log n)
 // for the sorted child ids; the cursor holds O(n) words.
 func (p *Plan) Cursor() *Cursor {
-	n := p.n
+	tp := &p.topo
+	n := tp.N
 	c := &Cursor{
 		p:         p,
 		in:        make([]int32, n),
 		out:       make([]int32, n),
 		held:      make([]int32, 2*n),
 		leafStart: make([]int32, p.Rounds()+2),
-		kidIDs:    make([]int, len(p.children)),
+		kidIDs:    make([]int, len(tp.Children)),
 	}
-	for i, ch := range p.children {
-		c.kidIDs[i] = int(p.vertexOf[ch])
+	for i, ch := range tp.Children {
+		c.kidIDs[i] = int(tp.VertexOf[ch])
 	}
 	for v := int32(0); v < int32(n); v++ {
-		sort.Ints(c.kidIDs[p.childStart[v]:p.childStart[v+1]])
-		if !p.isLeaf(v) {
+		sort.Ints(c.kidIDs[tp.ChildStart[v]:tp.ChildStart[v+1]])
+		if !tp.Leaf(v) {
 			c.internal = append(c.internal, v)
-		} else if p.parent[v] >= 0 {
+		} else if tp.Parent[v] >= 0 {
 			c.leafStart[c.leafTime(v)+1]++
 		}
 	}
@@ -67,50 +73,64 @@ func (p *Plan) Cursor() *Cursor {
 	c.leaves = make([]int32, c.leafStart[len(c.leafStart)-1])
 	fill := append([]int32(nil), c.leafStart...)
 	for v := int32(0); v < int32(n); v++ {
-		if p.isLeaf(v) && p.parent[v] >= 0 {
+		if tp.Leaf(v) && tp.Parent[v] >= 0 {
 			t := c.leafTime(v)
 			c.leaves[fill[t]] = v
 			fill[t]++
 		}
 	}
-	c.rewind()
+	c.seek(0)
 	return c
 }
 
 func (c *Cursor) leafTime(v int32) int32 {
-	if c.p.w(v) == 1 {
+	if c.p.topo.Lip(v) == 1 {
 		return 0
 	}
-	return v - c.p.level[v]
+	return v - c.p.topo.Level[v]
 }
 
-func (c *Cursor) rewind() {
-	c.t = 0
-	for _, s := range [][]int32{c.in, c.out, c.held} {
-		for i := range s {
-			s[i] = -1
+// seek positions the cursor at round t. seek(0) is a rewind: every arrival
+// and capture is empty.
+func (c *Cursor) seek(t int) {
+	tp := &c.p.topo
+	c.t = t
+	for _, v := range c.internal {
+		k := tp.Level[v]
+		bLo, bHi := int(v-k), int(tp.Hi[v]-k)
+		in, held := int32(-1), int32(-1)
+		if v != k && t > bLo {
+			held = unresolved
 		}
+		// Inside its b-region a vertex reads its arrival only to capture
+		// it at i-k, so the closed-form walk is skipped there.
+		if t < bLo || t > bHi || (t == bLo && v != k) {
+			in = c.p.arrivalAt(v, t)
+		}
+		c.in[v], c.out[v] = in, -1
+		c.held[2*v], c.held[2*v+1] = held, held
 	}
 }
 
 // Processors implements schedule.Source.
-func (c *Cursor) Processors() int { return c.p.n }
+func (c *Cursor) Processors() int { return c.p.topo.N }
 
 // Messages implements schedule.Source.
-func (c *Cursor) Messages() int { return c.p.n }
+func (c *Cursor) Messages() int { return c.p.topo.N }
 
 // Time implements schedule.Source.
 func (c *Cursor) Time() int { return c.p.Rounds() }
 
 // RoundAppend appends the transmissions of round t to dst with the layout
 // and buffer-reuse contract of Plan.RoundAppend; it implements
-// schedule.Source.
+// schedule.Source. A read of round t leaves the cursor at t+1, so reading
+// on in order never seeks again.
 func (c *Cursor) RoundAppend(t int, dst []schedule.Transmission) []schedule.Transmission {
-	if t == 0 && c.t != 0 {
-		c.rewind()
+	if t < 0 || t >= c.p.Rounds() {
+		return dst
 	}
-	if t != c.t || t >= c.p.Rounds() {
-		return c.p.RoundAppend(t, dst)
+	if t != c.t {
+		c.seek(t)
 	}
 	leaves := c.leaves[c.leafStart[t]:c.leafStart[t+1]]
 	for _, v := range c.internal {
@@ -133,8 +153,8 @@ func (c *Cursor) RoundAppend(t int, dst []schedule.Transmission) []schedule.Tran
 // state, exactly as downSendAt resolves them. It records the arrivals
 // v's down-send causes at t+1.
 func (c *Cursor) step(dst []schedule.Transmission, v int32, t int) []schedule.Transmission {
-	p := c.p
-	i, j, k := v, p.hi[v], p.level[v]
+	tp := &c.p.topo
+	i, j, k := v, tp.Hi[v], tp.Level[v]
 	bLo, bHi := int(i-k), int(j-k)
 	in := c.in[v]
 	c.in[v] = -1
@@ -159,9 +179,13 @@ func (c *Cursor) step(dst []schedule.Transmission, v int32, t int) []schedule.Tr
 	case in != -1:
 		down = in // D1
 	case t == bHi+1 || t == bHi+2:
+		if c.held[2*v] == unresolved {
+			q := c.p.captured(v)
+			copy(c.held[2*v:], q[:])
+		}
 		down = c.held[2*int(v)+t-bHi-1] // D2 release
 	}
-	up := p.upSendAt(v, t)
+	up := c.p.upSendAt(v, t)
 	if up != -1 && down != -1 && up != down {
 		panic(fmt.Sprintf("implicit: vertex %d emits %d and %d at %d", v, up, down, t))
 	}
@@ -171,8 +195,8 @@ func (c *Cursor) step(dst []schedule.Transmission, v int32, t int) []schedule.Tr
 		}
 		return c.emit(dst, v, up, true, false)
 	}
-	for _, ch := range p.kids(v) {
-		if !p.isLeaf(ch) && (down < ch || down > p.hi[ch]) {
+	for _, ch := range tp.Kids(v) {
+		if !tp.Leaf(ch) && (down < ch || down > tp.Hi[ch]) {
 			c.out[ch] = down
 		}
 	}
@@ -182,23 +206,24 @@ func (c *Cursor) step(dst []schedule.Transmission, v int32, t int) []schedule.Tr
 // emit appends v's multicast of msg to its parent (up) and to its children
 // except the owner of msg (down), reusing the To slice of dst's spare slot.
 // A down-only send whose owner is the only child has no destination and
-// emits nothing.
+// emits nothing. emit writes nothing but dst, so a pooled cursor can be
+// returned before the caller reads the round.
 func (c *Cursor) emit(dst []schedule.Transmission, v, msg int32, up, down bool) []schedule.Transmission {
-	p := c.p
+	tp := &c.p.topo
 	var dests []int
 	if len(dst) < cap(dst) {
 		dests = dst[len(dst) : len(dst)+1][0].To[:0]
 	}
 	par := -1
 	if up {
-		par = int(p.vertexOf[p.parent[v]])
+		par = int(tp.VertexOf[tp.Parent[v]])
 	}
 	if down {
 		skip := -1
-		if ow := p.owner(v, msg); ow != -1 {
-			skip = int(p.vertexOf[ow])
+		if ow := tp.Owner(v, msg); ow != -1 {
+			skip = int(tp.VertexOf[ow])
 		}
-		for _, id := range c.kidIDs[p.childStart[v]:p.childStart[v+1]] {
+		for _, id := range c.kidIDs[tp.ChildStart[v]:tp.ChildStart[v+1]] {
 			if id == skip {
 				continue
 			}
@@ -215,7 +240,7 @@ func (c *Cursor) emit(dst []schedule.Transmission, v, msg int32, up, down bool) 
 	if len(dests) == 0 {
 		return dst
 	}
-	return append(dst, schedule.Transmission{Msg: int(p.vertexOf[msg]), From: int(p.vertexOf[v]), To: dests})
+	return append(dst, schedule.Transmission{Msg: int(tp.VertexOf[msg]), From: int(tp.VertexOf[v]), To: dests})
 }
 
 // Summary aggregates one full enumeration of a plan (see Summarize).
@@ -232,7 +257,8 @@ type Summary struct {
 // exactly n-1 messages in total. It does not track hold sets, which cost
 // n² bits (schedule.Run's job); the differential tests bridge the gap.
 func (p *Plan) Summarize() (Summary, error) {
-	n := p.n
+	tp := &p.topo
+	n := tp.N
 	sum := Summary{Rounds: p.Rounds()}
 	recvCount := make([]int, n)
 	lastSent := make([]int, n)
@@ -251,9 +277,9 @@ func (p *Plan) Summarize() (Summary, error) {
 			lastSent[tx.From] = t
 			sum.Transmissions++
 			sum.MaxFanout = max(sum.MaxFanout, len(tx.To))
-			from := p.labelOf[tx.From]
+			from := tp.LabelOf[tx.From]
 			for _, d := range tx.To {
-				if to := p.labelOf[d]; p.parent[from] != to && p.parent[to] != from {
+				if to := tp.LabelOf[d]; tp.Parent[from] != to && tp.Parent[to] != from {
 					return sum, fmt.Errorf("implicit: %d-%d is not a tree edge", tx.From, d)
 				}
 				if lastRecv[d] == t {

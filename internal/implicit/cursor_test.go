@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"multigossip/internal/graph"
@@ -16,9 +17,8 @@ import (
 // requires every round, transmission order included, to equal the oracle's.
 // One recycled buffer serves every read, so destination-slice reuse is
 // exercised. The access pattern is: the whole schedule in order, then a
-// forward prefix, a backward jump into the middle, the rest in order (the
-// closed-form fallback), and finally a rewind to round 0 and a second full
-// in-order pass.
+// forward prefix, a backward jump into the middle (a seek), the rest in
+// order, and finally a rewind to round 0 and a second full in-order pass.
 func assertCursor(t *testing.T, name string, p *implicit.Plan, s *schedule.Schedule) {
 	t.Helper()
 	var src schedule.Source = p.Cursor()
@@ -71,9 +71,9 @@ func TestCursorExhaustiveSmallTrees(t *testing.T) {
 	}
 }
 
-// TestCursorRandomGraphsAndTrees covers the sizes where the closed form's
-// O(n·h) rounds are too slow for assertEquivalent: seeded random connected
-// graphs and random trees up to n = 512.
+// TestCursorRandomGraphsAndTrees covers the sizes where assertEquivalent's
+// per-vertex timetables are too slow: seeded random connected graphs and
+// random trees up to n = 512.
 func TestCursorRandomGraphsAndTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, n := range []int{64, 200, 512} {
@@ -125,4 +125,28 @@ func TestSummarize(t *testing.T) {
 			t.Fatalf("n=%d: inconsistent counts %+v", n, sum)
 		}
 	}
+}
+
+// TestRoundAppendSharedPlan has eight goroutines read one plan through
+// RoundAppend, each in its own shuffled order, against the oracle. Under
+// -race it shows the pooled cursors are never shared between readers.
+func TestRoundAppendSharedPlan(t *testing.T) {
+	l := spantree.Label(randomTree(rand.New(rand.NewSource(8)), 120))
+	p, s := implicit.New(l), oracle(l)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var buf []schedule.Transmission
+			for _, r := range rand.New(rand.NewSource(int64(w))).Perm(p.Rounds()) {
+				buf = p.RoundAppend(r, buf[:0])
+				if want := []schedule.Transmission(s.Rounds[r]); !reflect.DeepEqual(buf, want) {
+					t.Errorf("reader %d round %d:\ngot  %v\nwant %v", w, r, buf, want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -11,13 +11,14 @@ import (
 	"multigossip/internal/spantree"
 )
 
-// FuzzImplicitRound checks the closed-form evaluator against the
-// materialising builder on arbitrary inputs: for a random connected graph,
-// the implicit plan's RoundAppend must be bit-identical to the built
-// schedule's round at a fuzzer-chosen time (including out-of-range times,
-// which must yield the empty round), a fuzzer-chosen vertex's Timetable
-// must match the materialised VertexView, and a Cursor drained in order and
-// out of order must reproduce every round.
+// FuzzImplicitRound checks the implicit plan against the materialising
+// builder on arbitrary inputs: for a random connected graph, the plan's
+// RoundAppend must be bit-identical to the built schedule's round at a
+// fuzzer-chosen time (including out-of-range times, which must yield the
+// empty round) and then at every round in an order drawn from that time, a
+// fuzzer-chosen vertex's Timetable must match the materialised VertexView,
+// and a Cursor drained in order and out of order must reproduce every
+// round.
 func FuzzImplicitRound(f *testing.F) {
 	f.Add(int64(1), uint8(7), uint8(128), uint16(3), uint8(0))
 	f.Add(int64(42), uint8(0), uint8(0), uint16(0), uint8(5))
@@ -49,6 +50,14 @@ func FuzzImplicitRound(f *testing.F) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d round %d:\ngot  %v\nwant %v", n, round, got, want)
 			}
+		}
+		var buf []schedule.Transmission
+		for _, r := range rand.New(rand.NewSource(int64(tRaw))).Perm(plan.Rounds()) {
+			buf = plan.RoundAppend(r, buf[:0])
+			if want := []schedule.Transmission(s.Rounds[r]); len(buf) != len(want) || (len(buf) > 0 && !reflect.DeepEqual(buf, want)) {
+				t.Fatalf("n=%d round %d read after round %d:\ngot  %v\nwant %v", n, r, round, buf, want)
+			}
+			round = r
 		}
 		assertCursor(t, "fuzz", plan, s)
 		v := int(vRaw) % n

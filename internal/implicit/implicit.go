@@ -6,22 +6,23 @@
 // same tuples along its ancestor path (PAPER.md U1-U4 / D1-D3). This
 // package stores exactly that — the DFS preorder intervals, levels, lip
 // bits and parent/child structure of the labelled minimum-depth tree, in
-// packed int32 form — and answers Round(t) and per-vertex timetables by
-// evaluating the send/receive formulas on demand, with zero
-// materialisation.
+// packed int32 form (Topo) — and answers rounds and per-vertex timetables
+// on demand, with zero materialisation.
 //
-// Query model. Propagate-Up sends (U3/U4) and Propagate-Down b-message
-// sends (D3, with its i = k leftmost relocation) are direct formulas. The
-// only non-local rule is D1/D2 o-message forwarding: what v forwards at
-// time t is what its parent sent at time t-1, minus the messages of v's
-// own subtree, with arrivals at times i-k and i-k+1 held back to j-k+1
-// and j-k+2. downSendAt resolves that by walking up the ancestor chain —
-// one O(1) step per level, decreasing the queried time by one per hop —
-// until the query lands in an ancestor's closed-form region or falls off
-// the schedule. A random-access round therefore costs up to O(n·h), which
-// dominates on deep trees (rings, paths). Cursor serves the in-order pass
-// that replays and verification need without the walk: it carries each
-// vertex's arrival and D2 captures forward from the previous round.
+// Query model. Cursor is the one round emitter. It keeps the state of the
+// paper's online variant (Section 4) — the message each internal vertex
+// receives from its parent and its at most two D2 captures — and steps it
+// forward for O(internal vertices + deliveries) work per round. A read out
+// of order seeks: it sets every internal vertex's arrival from the closed
+// form and resolves D2 captures that lie behind the target when they are
+// released. Plan.RoundAppend reads through a pooled cursor.
+//
+// The closed forms evaluate one vertex at one time. Propagate-Up sends
+// (U3/U4) and Propagate-Down b-message sends (D3, with its i = k leftmost
+// relocation) are direct formulas; D1/D2 o-message forwarding recurses on
+// what the parent sent at time t-1, one O(1) step per level, until the
+// query lands in an ancestor's closed-form region or falls off the
+// schedule. They seed seeks and serve Timetable; they never emit a round.
 //
 // Equivalence with the materialising builder (core.BuildConcurrentUpDown)
 // is bit-exact and enforced by differential tests, property tests over the
@@ -29,95 +30,31 @@
 package implicit
 
 import (
-	"fmt"
-	"sort"
+	"sync"
 
 	"multigossip/internal/schedule"
 	"multigossip/internal/spantree"
 )
 
-// Plan is a compact, immutable ConcurrentUpDown plan: O(n) words total.
-// All slices are index-by-canonical-DFS-label; the vertexOf/labelOf pair
-// translates to and from the network's original identifiers. Safe for
-// concurrent use (no mutable state; all queries are pure).
+// Plan is a compact, immutable ConcurrentUpDown plan: O(n) words total,
+// the packed tree plus a pool of cursors. It is safe for concurrent use;
+// RoundAppend draws a cursor per call, so it must not be copied.
 type Plan struct {
-	n      int
-	height int
+	topo Topo
 
-	// Canonical-space tree structure, packed. hi[v] closes the subtree
-	// interval [v, hi[v]]; level[v] is k; parent[v] is -1 at the root.
-	// childStart/children is the CSR of the child lists (sorted, which in
-	// canonical space means consecutive subtree intervals).
-	hi         []int32
-	level      []int32
-	parent     []int32
-	childStart []int32
-	children   []int32
-
-	// lip[v>>6]>>(v&63)&1 is w, the lip bit: v is its parent's first child
-	// (v == parent+1 in canonical space). Derivable from parent, but it is
-	// the w of the paper's tuple and costs n/64 words to keep explicit.
-	lip []uint64
-
-	// vertexOf maps canonical label -> original vertex id; labelOf is the
-	// inverse. Message m originates at original vertex vertexOf[m].
-	vertexOf []int32
-	labelOf  []int32
+	// cursors holds the cursors RoundAppend reads through. They are scratch:
+	// not counted in SizeBytes, and reclaimed by the GC like any pool entry.
+	cursors sync.Pool
 }
 
-// New builds the compact plan from a DFS-labelled minimum-depth tree.
-func New(l *spantree.Labeled) *Plan {
-	n := l.N()
-	p := &Plan{
-		n:          n,
-		height:     l.T.Height,
-		hi:         make([]int32, n),
-		level:      make([]int32, n),
-		parent:     make([]int32, n),
-		childStart: make([]int32, n+1),
-		lip:        make([]uint64, (n+63)/64),
-		vertexOf:   make([]int32, n),
-		labelOf:    make([]int32, n),
-	}
-	for v := 0; v < n; v++ {
-		p.hi[v] = int32(l.Hi[v])
-		p.level[v] = int32(l.T.Level[v])
-		p.parent[v] = int32(l.T.Parent[v])
-		p.vertexOf[v] = int32(l.VertexOf[v])
-		p.labelOf[l.VertexOf[v]] = int32(v)
-		if l.LipCount(v) == 1 {
-			p.lip[v>>6] |= 1 << (v & 63)
-		}
-	}
-	kids := 0
-	for v := 0; v < n; v++ {
-		p.childStart[v] = int32(kids)
-		kids += len(l.T.Children[v])
-	}
-	p.childStart[n] = int32(kids)
-	p.children = make([]int32, kids)
-	for v := 0; v < n; v++ {
-		copy(p.children[p.childStart[v]:], int32s(l.T.Children[v]))
-	}
-	return p
-}
-
-func int32s(xs []int) []int32 {
-	out := make([]int32, len(xs))
-	for i, x := range xs {
-		out[i] = int32(x)
-	}
-	return out
-}
-
-// Topo is a read-only view of the plan's packed canonical-space arrays,
-// for engines (the sharded simulator) that evaluate the protocol directly
-// over the int32 layout without re-deriving it from pointerful spantree
-// structures. All slices alias the plan's storage: callers must not
-// mutate them. Hi[v] closes the subtree interval [v, Hi[v]]; Level[v] is
-// k; Parent[v] is -1 at the root; ChildStart/Children is the CSR child
-// list; Lip[v>>6]>>(v&63)&1 is the w bit; VertexOf/LabelOf translate
-// between canonical labels and original vertex ids.
+// Topo is the packed canonical-space tree of a plan, indexed by DFS label.
+// Hi[v] closes the subtree interval [v, Hi[v]]; Level[v] is k; Parent[v]
+// is -1 at the root. ChildStart/Children is the CSR of the child lists
+// (sorted, which in canonical space means consecutive subtree intervals).
+// LipBits[v>>6]>>(v&63)&1 is w, the lip bit: v is its parent's first child
+// (v == parent+1). VertexOf maps a canonical label to its original vertex
+// id and LabelOf is the inverse; message m originates at VertexOf[m]. A
+// Topo taken from a plan aliases its storage: callers must not mutate it.
 type Topo struct {
 	N      int
 	Height int
@@ -127,74 +64,46 @@ type Topo struct {
 	Parent     []int32
 	ChildStart []int32
 	Children   []int32
-	Lip        []uint64
+	LipBits    []uint64
 	VertexOf   []int32
 	LabelOf    []int32
 }
 
-// Topo returns the packed-array view of the plan. O(1): no copying.
-func (p *Plan) Topo() Topo {
+// newTopo allocates every array of an n-vertex topology except Children.
+func newTopo(n, height int) Topo {
 	return Topo{
-		N:          p.n,
-		Height:     p.height,
-		Hi:         p.hi,
-		Level:      p.level,
-		Parent:     p.parent,
-		ChildStart: p.childStart,
-		Children:   p.children,
-		Lip:        p.lip,
-		VertexOf:   p.vertexOf,
-		LabelOf:    p.labelOf,
+		N:          n,
+		Height:     height,
+		Hi:         make([]int32, n),
+		Level:      make([]int32, n),
+		Parent:     make([]int32, n),
+		ChildStart: make([]int32, n+1),
+		LipBits:    make([]uint64, (n+63)/64),
+		VertexOf:   make([]int32, n),
+		LabelOf:    make([]int32, n),
 	}
 }
 
-// N returns the number of processors (= messages).
-func (p *Plan) N() int { return p.n }
+// Lip returns w, the lip bit of canonical vertex v (0 or 1).
+func (t *Topo) Lip(v int32) int32 { return int32(t.LipBits[v>>6] >> (uint(v) & 63) & 1) }
 
-// Height returns the labelled tree's height (= network radius).
-func (p *Plan) Height() int { return p.height }
+// Leaf reports whether canonical vertex v has no children.
+func (t *Topo) Leaf(v int32) bool { return t.Hi[v] == v }
 
-// Rounds returns the total communication time: n + height for n >= 2
-// (Theorem 1), 0 for trivial plans.
-func (p *Plan) Rounds() int {
-	if p.n <= 1 {
-		return 0
-	}
-	return p.n + p.height
-}
+// Kids returns the canonical child list of v, ascending (shared; do not
+// mutate).
+func (t *Topo) Kids(v int32) []int32 { return t.Children[t.ChildStart[v]:t.ChildStart[v+1]] }
 
-// SizeBytes reports the plan's resident size: the packed arrays plus the
-// struct header. This is the honest per-entry footprint the plan cache
-// charges for implicit-backed plans.
-func (p *Plan) SizeBytes() int64 {
-	b := int64(0)
-	b += int64(len(p.hi)+len(p.level)+len(p.parent)) * 4
-	b += int64(len(p.childStart)+len(p.children)) * 4
-	b += int64(len(p.vertexOf)+len(p.labelOf)) * 4
-	b += int64(len(p.lip)) * 8
-	b += 16 + 9*24 // ints + slice headers
-	return b
-}
-
-// w returns the lip count of canonical vertex v (0 or 1).
-func (p *Plan) w(v int32) int32 {
-	return int32(p.lip[v>>6] >> (uint(v) & 63) & 1)
-}
-
-func (p *Plan) isLeaf(v int32) bool { return p.hi[v] == v }
-
-// kids returns the canonical child list of v (shared slice; do not mutate).
-func (p *Plan) kids(v int32) []int32 {
-	return p.children[p.childStart[v]:p.childStart[v+1]]
-}
-
-// owner returns the child of v whose subtree interval holds message m, or
-// -1 when none does (m == v or m outside v's interval).
-func (p *Plan) owner(v, m int32) int32 {
-	if m <= v || m > p.hi[v] {
+// Owner returns the child of v whose subtree interval holds message m, or
+// -1 when none does (m == v, m outside v's interval, or no children).
+func (t *Topo) Owner(v, m int32) int32 {
+	if m <= v || m > t.Hi[v] {
 		return -1
 	}
-	kids := p.kids(v)
+	kids := t.Kids(v)
+	if len(kids) == 0 {
+		return -1
+	}
 	lo, hi := 0, len(kids)-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
@@ -207,15 +116,78 @@ func (p *Plan) owner(v, m int32) int32 {
 	return kids[lo]
 }
 
+// New builds the compact plan from a DFS-labelled minimum-depth tree.
+func New(l *spantree.Labeled) *Plan {
+	n := l.N()
+	p := &Plan{topo: newTopo(n, l.T.Height)}
+	t := &p.topo
+	for v := 0; v < n; v++ {
+		t.Hi[v] = int32(l.Hi[v])
+		t.Level[v] = int32(l.T.Level[v])
+		t.Parent[v] = int32(l.T.Parent[v])
+		t.VertexOf[v] = int32(l.VertexOf[v])
+		t.LabelOf[l.VertexOf[v]] = int32(v)
+		if l.LipCount(v) == 1 {
+			t.LipBits[v>>6] |= 1 << (v & 63)
+		}
+	}
+	kids := 0
+	for v := 0; v < n; v++ {
+		t.ChildStart[v] = int32(kids)
+		kids += len(l.T.Children[v])
+	}
+	t.ChildStart[n] = int32(kids)
+	t.Children = make([]int32, 0, kids)
+	for v := 0; v < n; v++ {
+		for _, c := range l.T.Children[v] {
+			t.Children = append(t.Children, int32(c))
+		}
+	}
+	return p
+}
+
+// Topo returns the packed-array view of the plan. O(1): no copying.
+func (p *Plan) Topo() Topo { return p.topo }
+
+// N returns the number of processors (= messages).
+func (p *Plan) N() int { return p.topo.N }
+
+// Height returns the labelled tree's height (= network radius).
+func (p *Plan) Height() int { return p.topo.Height }
+
+// Rounds returns the total communication time: n + height for n >= 2
+// (Theorem 1), 0 for trivial plans.
+func (p *Plan) Rounds() int {
+	if p.topo.N <= 1 {
+		return 0
+	}
+	return p.topo.N + p.topo.Height
+}
+
+// SizeBytes reports the plan's resident size: the packed arrays plus the
+// struct header. This is the honest per-entry footprint the plan cache
+// charges for implicit-backed plans.
+func (p *Plan) SizeBytes() int64 {
+	t := &p.topo
+	b := int64(0)
+	b += int64(len(t.Hi)+len(t.Level)+len(t.Parent)) * 4
+	b += int64(len(t.ChildStart)+len(t.Children)) * 4
+	b += int64(len(t.VertexOf)+len(t.LabelOf)) * 4
+	b += int64(len(t.LipBits)) * 8
+	b += 16 + 9*24 // ints + slice headers
+	return b
+}
+
 // upSendAt evaluates Propagate-Up (U3/U4) at vertex v and time t: the
 // message v sends to its parent, or -1. Each non-root vertex sends its
 // lip-message i at time 0 (when w = 1) and every remaining b-message m in
 // [i+w .. j] at time m - k.
 func (p *Plan) upSendAt(v int32, t int) int32 {
-	if p.parent[v] < 0 {
+	tp := &p.topo
+	if tp.Parent[v] < 0 {
 		return -1
 	}
-	i, j, k, w := v, p.hi[v], p.level[v], p.w(v)
+	i, j, k, w := v, tp.Hi[v], tp.Level[v], tp.Lip(v)
 	if w == 1 && t == 0 {
 		return i
 	}
@@ -232,69 +204,79 @@ func (p *Plan) upSendAt(v int32, t int) int32 {
 // The b-message schedule (D3) is local: message m in [i..j] goes out at
 // time m - k, except that on the leftmost DFS path (i == k) the s-message
 // i is relocated to time j - k + 1 — at the root this is the paper's
-// "message 0 at time n". o-message forwarding (D1/D2) recurses on what the
-// parent sent one round earlier; arrivals at the D3-busy slots i-k and
-// i-k+1 are held and re-emitted at j-k+1 and j-k+2 in arrival order.
+// "message 0 at time n". Arrivals at the D3-busy slots i-k and i-k+1 are
+// held and re-emitted at j-k+1 and j-k+2 in arrival order (D2). At any
+// other time v forwards what it receives (D1), which is what its parent
+// sent one round earlier unless v's subtree owns it. The walk climbs the
+// ancestor chain, one O(1) step per level and one round earlier per hop,
+// until a local rule decides; only the chain vertex below that ancestor
+// can own its message, since a forwarded message lies outside the
+// forwarder's subtree.
 func (p *Plan) downSendAt(v int32, t int) int32 {
-	if t < 0 || p.isLeaf(v) {
+	tp := &p.topo
+	if tp.Leaf(v) {
 		return -1
 	}
-	i, j, k := v, p.hi[v], p.level[v]
-	bLo, bHi := int(i-k), int(j-k)
-	if t >= bLo && t <= bHi {
-		m := int32(t) + k
-		if m != i || i != k {
-			return m
+	below := int32(-1) // the chain vertex under v once the walk has climbed
+	for ; t >= 0; t-- {
+		i, j, k := v, tp.Hi[v], tp.Level[v]
+		bLo, bHi := int(i-k), int(j-k)
+		var m int32
+		switch {
+		case t >= bLo && t <= bHi:
+			// i == k at t == i-k: the s-message is relocated; nothing else
+			// can occupy this slot (the paper guarantees no o-message
+			// arrives while the leftmost path is in its opening round).
+			if m = int32(t) + k; m == i && i == k {
+				m = -1
+			}
+		case i == k && t == bHi+1:
+			m = i // relocated s-message (root: message 0 at time n)
+		case i != k && (t == bHi+1 || t == bHi+2):
+			// D1 takes the slot when an arrival lands; otherwise D2
+			// releases the captures.
+			if m = p.arrivalAt(v, t); m == -1 {
+				m = p.captured(v)[t-(bHi+1)]
+			}
+		case tp.Parent[v] < 0:
+			return -1
+		default:
+			below, v = v, tp.Parent[v]
+			continue
 		}
-		// i == k at t == i-k: the s-message is relocated below; nothing
-		// else can occupy this slot (the paper guarantees no o-message
-		// arrives while the leftmost path is in its opening round).
-		return -1
-	}
-	if i == k {
-		if t == bHi+1 {
-			return i // relocated s-message (root: message 0 at time n)
+		if below >= 0 && m >= below && m <= tp.Hi[below] {
+			return -1
 		}
-		// Leftmost-path vertices never capture arrivals, so everything
-		// else is a plain pass-through forward.
-		return p.arrivalAt(v, t)
-	}
-	if in := p.arrivalAt(v, t); in != -1 {
-		// D1: an o-message received at time t is forwarded at time t. The
-		// capture slots i-k and i-k+1 lie inside the b-region and were
-		// returned above, so any arrival seen here forwards immediately.
-		return in
-	}
-	if t == bHi+1 || t == bHi+2 {
-		// D2: release the messages captured at i-k and i-k+1, in arrival
-		// order, at j-k+1 and j-k+2.
-		first := p.arrivalAt(v, bLo)
-		second := p.arrivalAt(v, bLo+1)
-		queue := [2]int32{-1, -1}
-		qn := 0
-		if first != -1 {
-			queue[qn] = first
-			qn++
-		}
-		if second != -1 {
-			queue[qn] = second
-			qn++
-		}
-		return queue[t-(bHi+1)]
+		return m
 	}
 	return -1
+}
+
+// captured returns the o-messages v holds back under D2 — its arrivals at
+// i-k and i-k+1 — in arrival order, -1 padded.
+func (p *Plan) captured(v int32) [2]int32 {
+	bLo := int(v - p.topo.Level[v])
+	queue := [2]int32{-1, -1}
+	qn := 0
+	for _, t := range [2]int{bLo, bLo + 1} {
+		if m := p.arrivalAt(v, t); m != -1 {
+			queue[qn] = m
+			qn++
+		}
+	}
+	return queue
 }
 
 // arrivalAt returns the o-message v receives from its parent at time t, or
 // -1: the parent's down-send of round t-1, unless that message belongs to
 // v's own subtree (D3 excludes the owner child from the destination set).
 func (p *Plan) arrivalAt(v int32, t int) int32 {
-	par := p.parent[v]
+	par := p.topo.Parent[v]
 	if par < 0 || t <= 0 {
 		return -1
 	}
 	m := p.downSendAt(par, t-1)
-	if m == -1 || (m >= v && m <= p.hi[v]) {
+	if m == -1 || (m >= v && m <= p.topo.Hi[v]) {
 		return -1
 	}
 	return m
@@ -308,66 +290,21 @@ func (p *Plan) arrivalAt(v int32, t int) int32 {
 // capacity as scratch — including the To slices of elements beyond
 // len(dst), which it overwrites in place — so looping with dst = dst[:0]
 // between rounds reuses every allocation.
+//
+// It reads through a cursor drawn from the plan's pool, so a caller that
+// asks for consecutive rounds pays the cursor's in-order step and any other
+// read pays one seek. Once a cursor is pooled the call allocates nothing
+// of its own. Safe for concurrent use.
 func (p *Plan) RoundAppend(t int, dst []schedule.Transmission) []schedule.Transmission {
 	if t < 0 || t >= p.Rounds() {
 		return dst
 	}
-	for v := int32(0); v < int32(p.n); v++ {
-		up := p.upSendAt(v, t)
-		down := int32(-1)
-		if !p.isLeaf(v) {
-			down = p.downSendAt(v, t)
-		}
-		msg := up
-		if down != -1 {
-			if msg != -1 && msg != down {
-				panic(fmt.Sprintf("implicit: vertex %d emits %d and %d at %d", v, msg, down, t))
-			}
-			msg = down
-		}
-		if msg == -1 {
-			continue
-		}
-		var to []int32
-		if down != -1 {
-			kids := p.kids(v)
-			if ow := p.owner(v, msg); ow != -1 {
-				to = make([]int32, 0, len(kids))
-				for _, c := range kids {
-					if c != ow {
-						to = append(to, c)
-					}
-				}
-			} else {
-				to = kids
-			}
-		}
-		if up == -1 && len(to) == 0 {
-			continue // b-message owned by an only child: empty multicast
-		}
-		// Reuse the destination slice of the spare slot dst is about to
-		// grow into, so a caller recycling its buffer (dst = dst[:0]
-		// between rounds) reaches zero steady-state allocations.
-		var dests []int
-		if len(dst) < cap(dst) {
-			dests = dst[len(dst) : len(dst)+1][0].To[:0]
-		}
-		if cap(dests) < len(to)+1 {
-			dests = make([]int, 0, len(to)+1)
-		}
-		if up != -1 {
-			dests = append(dests, int(p.vertexOf[p.parent[v]]))
-		}
-		for _, c := range to {
-			dests = append(dests, int(p.vertexOf[c]))
-		}
-		sort.Ints(dests)
-		dst = append(dst, schedule.Transmission{
-			Msg:  int(p.vertexOf[msg]),
-			From: int(p.vertexOf[v]),
-			To:   dests,
-		})
+	c, _ := p.cursors.Get().(*Cursor)
+	if c == nil {
+		c = p.Cursor()
 	}
+	dst = c.RoundAppend(t, dst)
+	p.cursors.Put(c)
 	return dst
 }
 
@@ -385,20 +322,21 @@ func (p *Plan) Timetable(v int) *schedule.VertexTimetable {
 		SendParent: filled(rows, schedule.NoMessage),
 		SendChild:  filled(rows, schedule.NoMessage),
 	}
-	if p.n <= 1 {
+	tp := &p.topo
+	if tp.N <= 1 {
 		return vt
 	}
-	c := p.labelOf[v]
-	i, j, k := c, p.hi[c], p.level[c]
+	c := tp.LabelOf[v]
+	i, j, k := c, tp.Hi[c], tp.Level[c]
 
 	// Sends to the parent: U3/U4 directly.
-	if p.parent[c] >= 0 {
-		w := p.w(c)
+	if tp.Parent[c] >= 0 {
+		w := tp.Lip(c)
 		if w == 1 {
-			vt.SendParent[0] = int(p.vertexOf[i])
+			vt.SendParent[0] = int(tp.VertexOf[i])
 		}
 		for m := i + w; m <= j; m++ {
-			vt.SendParent[int(m-k)] = int(p.vertexOf[m])
+			vt.SendParent[int(m-k)] = int(tp.VertexOf[m])
 		}
 	}
 
@@ -406,10 +344,10 @@ func (p *Plan) Timetable(v int) *schedule.VertexTimetable {
 	// the l-message i+1 arrives at time 1 from the first child's lip send,
 	// and each r-message m in [i+2 .. j] arrives at time m - k from the
 	// child owning m.
-	if !p.isLeaf(c) {
-		vt.RecvChild[1] = int(p.vertexOf[i+1])
+	if !tp.Leaf(c) {
+		vt.RecvChild[1] = int(tp.VertexOf[i+1])
 		for m := i + 2; m <= j; m++ {
-			vt.RecvChild[int(m-k)] = int(p.vertexOf[m])
+			vt.RecvChild[int(m-k)] = int(tp.VertexOf[m])
 		}
 	}
 
@@ -418,21 +356,21 @@ func (p *Plan) Timetable(v int) *schedule.VertexTimetable {
 	// child has an empty owner-excluded destination set — no transmission
 	// happens (unless merged with an up-send, which never adds a child
 	// destination), so the SendChild row stays empty there.
-	if !p.isLeaf(c) {
-		onlyChild := p.childStart[c+1]-p.childStart[c] == 1
+	if !tp.Leaf(c) {
+		onlyChild := len(tp.Kids(c)) == 1
 		for t := 0; t < rounds; t++ {
 			if m := p.downSendAt(c, t); m != -1 {
-				if onlyChild && p.owner(c, m) != -1 {
+				if onlyChild && tp.Owner(c, m) != -1 {
 					continue
 				}
-				vt.SendChild[t] = int(p.vertexOf[m])
+				vt.SendChild[t] = int(tp.VertexOf[m])
 			}
 		}
 	}
-	if p.parent[c] >= 0 {
+	if tp.Parent[c] >= 0 {
 		for t := 1; t <= rounds; t++ {
 			if m := p.arrivalAt(c, t); m != -1 {
-				vt.RecvParent[t] = int(p.vertexOf[m])
+				vt.RecvParent[t] = int(tp.VertexOf[m])
 			}
 		}
 	}
@@ -453,10 +391,11 @@ func filled(n, x int) []int {
 // distributed executor can run without the plan retaining the pointerful
 // spantree structures; cost is O(n) and the result is freshly allocated.
 func (p *Plan) Labeled() *spantree.Labeled {
-	n := p.n
+	tp := &p.topo
+	n := tp.N
 	parent := make([]int, n)
 	for v := 0; v < n; v++ {
-		parent[v] = int(p.parent[v])
+		parent[v] = int(tp.Parent[v])
 	}
 	l := &spantree.Labeled{
 		T:        spantree.MustFromParents(parent),
@@ -465,9 +404,9 @@ func (p *Plan) Labeled() *spantree.Labeled {
 		Hi:       make([]int, n),
 	}
 	for v := 0; v < n; v++ {
-		l.VertexOf[v] = int(p.vertexOf[v])
-		l.LabelOf[p.vertexOf[v]] = v
-		l.Hi[v] = int(p.hi[v])
+		l.VertexOf[v] = int(tp.VertexOf[v])
+		l.LabelOf[tp.VertexOf[v]] = v
+		l.Hi[v] = int(tp.Hi[v])
 	}
 	return l
 }
@@ -475,13 +414,13 @@ func (p *Plan) Labeled() *spantree.Labeled {
 // OriginalTree reconstructs the minimum-depth spanning tree in the
 // network's original vertex identifiers.
 func (p *Plan) OriginalTree() *spantree.Tree {
-	n := p.n
-	parent := make([]int, n)
-	for c := 0; c < n; c++ {
-		if p.parent[c] < 0 {
-			parent[p.vertexOf[c]] = -1
+	tp := &p.topo
+	parent := make([]int, tp.N)
+	for c := range parent {
+		if tp.Parent[c] < 0 {
+			parent[tp.VertexOf[c]] = -1
 		} else {
-			parent[p.vertexOf[c]] = int(p.vertexOf[p.parent[c]])
+			parent[tp.VertexOf[c]] = int(tp.VertexOf[tp.Parent[c]])
 		}
 	}
 	return spantree.MustFromParents(parent)

@@ -42,12 +42,16 @@ func assertEquivalent(t *testing.T, name string, tree *spantree.Tree) {
 		t.Fatalf("%s: Height() = %d, want %d", name, got, want)
 	}
 
-	for time := 0; time < p.Rounds(); time++ {
-		got := p.RoundAppend(time, nil)
-		var want []schedule.Transmission
-		if time < len(s.Rounds) {
-			want = s.Rounds[time]
+	// In order, then in a seeded shuffle: every read of the second pass
+	// seeks the plan's pooled cursor.
+	order := rand.New(rand.NewSource(int64(p.N()))).Perm(p.Rounds())
+	for r := 0; r < 2*p.Rounds(); r++ {
+		time := r
+		if r >= p.Rounds() {
+			time = order[r-p.Rounds()]
 		}
+		got := p.RoundAppend(time, nil)
+		want := s.Rounds[time]
 		if len(got) != len(want) {
 			t.Fatalf("%s: round %d has %d transmissions, want %d\ngot  %v\nwant %v",
 				name, time, len(got), len(want), got, want)

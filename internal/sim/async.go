@@ -121,32 +121,7 @@ func runAsync(t implicit.Topo, o Options) (Result, error) {
 	return e.run()
 }
 
-func (e *asyncEngine) leaf(v int32) bool  { return e.t.Hi[v] == v }
 func (e *asyncEngine) orig(v int32) int32 { return e.t.VertexOf[v] }
-func (e *asyncEngine) kids(v int32) []int32 {
-	return e.t.Children[e.t.ChildStart[v]:e.t.ChildStart[v+1]]
-}
-
-// owner returns the child of v whose subtree holds m, or -1.
-func (e *asyncEngine) owner(v, m int32) int32 {
-	if m <= v || m > e.t.Hi[v] {
-		return -1
-	}
-	kids := e.kids(v)
-	if len(kids) == 0 {
-		return -1
-	}
-	lo, hi := 0, len(kids)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if kids[mid] <= m {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return kids[lo]
-}
 
 // enqueue appends a transmission to v's FIFO and schedules its departure
 // if the transmitter is idle.
@@ -181,7 +156,7 @@ func (e *asyncEngine) arrive(d, m int32, fromParent bool, t int) error {
 			return fmt.Errorf("sim: vertex %d received its own subtree's message %d from its parent at tick %d",
 				e.orig(d), e.orig(m), t)
 		}
-		if !e.leaf(d) {
+		if !e.t.Leaf(d) {
 			e.enqueue(d, packTx(m, false, true, -1), t)
 		}
 		return nil
@@ -190,7 +165,7 @@ func (e *asyncEngine) arrive(d, m int32, fromParent bool, t int) error {
 		return fmt.Errorf("sim: vertex %d received non-subtree message %d from a child at tick %d",
 			e.orig(d), e.orig(m), t)
 	}
-	sender := e.owner(d, m)
+	sender := e.t.Owner(d, m)
 	toParent := e.t.Parent[d] >= 0
 	onlyKid := e.t.ChildStart[d+1]-e.t.ChildStart[d] == 1
 	if toParent || !onlyKid {
@@ -227,7 +202,7 @@ func (e *asyncEngine) depart(v int32, t int) {
 		}
 	}
 	if tx&atWithKids != 0 {
-		for _, c := range e.kids(v) {
+		for _, c := range e.t.Kids(v) {
 			if c == excl {
 				continue
 			}
@@ -287,7 +262,7 @@ func (e *asyncEngine) run() (Result, error) {
 	// downward, everyone else upward and (internal nodes) downward too.
 	for v := int32(0); v < e.n; v++ {
 		toParent := e.t.Parent[v] >= 0
-		withKids := !e.leaf(v)
+		withKids := !e.t.Leaf(v)
 		e.enqueue(v, packTx(v, toParent, withKids, -1), 0)
 	}
 

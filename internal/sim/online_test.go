@@ -128,7 +128,7 @@ func TestOnlineLivelockFailFast(t *testing.T) {
 		N: 3, Height: 1,
 		Hi: []int32{0, 1, 2}, Level: []int32{9, 9, 9},
 		Parent: []int32{-1, 0, 0}, ChildStart: []int32{0, 0, 0, 0},
-		Lip: []uint64{0}, VertexOf: []int32{0, 1, 2}, LabelOf: []int32{0, 1, 2},
+		LipBits: []uint64{0}, VertexOf: []int32{0, 1, 2}, LabelOf: []int32{0, 1, 2},
 	}
 	_, err := sim.Run(topo, sim.Options{Sink: func(round int, txs []schedule.Transmission) error {
 		if len(txs) > 0 {

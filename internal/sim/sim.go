@@ -60,9 +60,6 @@ const (
 	// FoldAuto folds leaf fan-out whenever no per-delivery consumer
 	// (Observer, Sink) is attached and the run is synchronous.
 	FoldAuto FoldMode = iota
-	// FoldOn forces folding; invalid with an Observer or Sink attached
-	// (folded deliveries have no per-delivery events to emit).
-	FoldOn
 	// FoldOff simulates every point-to-point delivery individually.
 	FoldOff
 )
@@ -144,13 +141,7 @@ func Run(t implicit.Topo, o Options) (Result, error) {
 	if t.N > pmDestMask {
 		return Result{}, fmt.Errorf("sim: n=%d exceeds the packed-state limit %d", t.N, pmDestMask)
 	}
-	if o.Fold == FoldOn && (o.Observer != nil || o.Sink != nil) {
-		return Result{}, fmt.Errorf("sim: FoldOn elides per-delivery events; detach the Observer/Sink or use FoldAuto")
-	}
 	if o.Async {
-		if o.Fold == FoldOn {
-			return Result{}, fmt.Errorf("sim: folding is a sync-mode optimisation; async runs deliver individually")
-		}
 		return runAsync(t, o)
 	}
 	if t.N <= 1 {
@@ -246,8 +237,7 @@ func newEngine(t implicit.Topo, o Options) *engine {
 		winEnd:    make([]int32, n),
 		target:    int64(n) * int64(n-1),
 	}
-	e.fold = o.Fold == FoldOn ||
-		(o.Fold == FoldAuto && o.Observer == nil && o.Sink == nil)
+	e.fold = o.Fold == FoldAuto && o.Observer == nil && o.Sink == nil
 
 	S := o.Shards
 	if S <= 0 {
@@ -266,7 +256,7 @@ func newEngine(t implicit.Topo, o Options) *engine {
 		switch {
 		case i != j: // internal (includes the root for n >= 2)
 			e.winStart[v], e.winEnd[v] = i-k, j-k+2
-		case e.w(v) == 0: // leaf, single up-send at i-k
+		case e.t.Lip(v) == 0: // leaf, single up-send at i-k
 			e.winStart[v], e.winEnd[v] = i-k, i-k
 		default: // leaf with w = 1: only the t = 0 lip
 			e.winStart[v] = -1
@@ -280,8 +270,8 @@ func newEngine(t implicit.Topo, o Options) *engine {
 		total := int32(0)
 		for v := int32(0); v < n; v++ {
 			e.intKidStart[v] = total
-			for _, c := range e.kids(v) {
-				if e.leaf(c) {
+			for _, c := range e.t.Kids(v) {
+				if e.t.Leaf(c) {
 					e.leafKids[v]++
 				} else {
 					total++
@@ -292,8 +282,8 @@ func newEngine(t implicit.Topo, o Options) *engine {
 		e.intKids = make([]int32, total)
 		total = 0
 		for v := int32(0); v < n; v++ {
-			for _, c := range e.kids(v) {
-				if !e.leaf(c) {
+			for _, c := range e.t.Kids(v) {
+				if !e.t.Leaf(c) {
 					e.intKids[total] = c
 					total++
 				}
@@ -318,7 +308,7 @@ func newEngine(t implicit.Topo, o Options) *engine {
 			if e.winStart[v] >= 0 {
 				w.byStart = append(w.byStart, v)
 			}
-			if e.w(v) == 1 && t.Parent[v] >= 0 {
+			if e.t.Lip(v) == 1 && t.Parent[v] >= 0 {
 				w.lips = append(w.lips, v)
 			}
 		}
@@ -330,33 +320,7 @@ func newEngine(t implicit.Topo, o Options) *engine {
 	return e
 }
 
-func (e *engine) w(v int32) int32    { return int32(e.t.Lip[v>>6] >> (uint(v) & 63) & 1) }
-func (e *engine) leaf(v int32) bool  { return e.t.Hi[v] == v }
 func (e *engine) orig(v int32) int32 { return e.t.VertexOf[v] }
-func (e *engine) kids(v int32) []int32 {
-	return e.t.Children[e.t.ChildStart[v]:e.t.ChildStart[v+1]]
-}
-
-// owner returns the child of v whose subtree interval holds m, or -1.
-func (e *engine) owner(v, m int32) int32 {
-	if m <= v || m > e.t.Hi[v] {
-		return -1
-	}
-	kids := e.kids(v)
-	if len(kids) == 0 {
-		return -1
-	}
-	lo, hi := 0, len(kids)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if kids[mid] <= m {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return kids[lo]
-}
 
 // phase runs f on every worker, inline when single-sharded.
 func (e *engine) phase(f func(w *simWorker)) {
@@ -495,7 +459,7 @@ func (e *engine) nextActivation() int32 {
 // effHeld is the number of messages v has received, fold-adjusted.
 func (e *engine) effHeld(v int32) int32 {
 	h := e.held[v]
-	if e.fold && e.leaf(v) {
+	if e.fold && e.t.Leaf(v) {
 		if p := e.t.Parent[v]; p >= 0 {
 			h += e.aggBcast[p]
 		}
@@ -585,7 +549,7 @@ func (w *simWorker) drain(t int) {
 						e.orig(d), e.orig(m), t)
 					return
 				}
-				if e.leaf(d) {
+				if e.t.Leaf(d) {
 					continue // leaves absorb; nothing to forward
 				}
 				if i != k && (t32 == i-k || t32 == i-k+1) {
@@ -626,7 +590,7 @@ func (e *engine) windowWouldEmit(v int32, t32 int32) bool {
 	if e.winStart[v] < 0 || t32 < e.winStart[v] || t32 > e.winEnd[v] {
 		return false
 	}
-	if e.leaf(v) {
+	if e.t.Leaf(v) {
 		return true // single-slot up-send
 	}
 	i, j, k := v, e.t.Hi[v], e.t.Level[v]
@@ -672,7 +636,7 @@ func (w *simWorker) send(t int) {
 			continue
 		}
 		i, j, k := v, e.t.Hi[v], e.t.Level[v]
-		if e.leaf(v) {
+		if e.t.Leaf(v) {
 			w.emit(t, v, v, true, false, -1) // U4: the leaf's own message
 			idx++
 			continue
@@ -685,7 +649,7 @@ func (w *simWorker) send(t int) {
 				if i != k {
 					// D3 merged with U4: v's own message goes down to all
 					// children and (w = 0) up to the parent in one multicast.
-					w.emit(t, v, m, e.w(v) == 0 && e.t.Parent[v] >= 0, true, -1)
+					w.emit(t, v, m, e.t.Lip(v) == 0 && e.t.Parent[v] >= 0, true, -1)
 				}
 				// i == k: the s-message is relocated to j-k+1 (D3).
 			case m == i+1:
@@ -706,7 +670,7 @@ func (w *simWorker) send(t int) {
 						e.orig(v), e.orig(m), t, e.recvMsg[v], e.recvRound[v])
 					return
 				}
-				w.emit(t, v, m, e.t.Parent[v] >= 0, true, e.owner(v, m))
+				w.emit(t, v, m, e.t.Parent[v] >= 0, true, e.t.Owner(v, m))
 			}
 		case t32 == j-k+1:
 			if i == k {
@@ -745,11 +709,11 @@ func (w *simWorker) emit(t int, v, m int32, toParent, withKids bool, excl int32)
 			recTo = append(recTo, int(p))
 		}
 	}
-	if withKids && !e.leaf(v) {
+	if withKids && !e.t.Leaf(v) {
 		if e.fold {
 			fex := int32(-1)
 			cnt := e.leafKids[v]
-			if excl >= 0 && e.leaf(excl) {
+			if excl >= 0 && e.t.Leaf(excl) {
 				fex = excl
 				cnt--
 			}
@@ -766,7 +730,7 @@ func (w *simWorker) emit(t int, v, m int32, toParent, withKids bool, excl int32)
 				}
 			}
 		} else {
-			for _, c := range e.kids(v) {
+			for _, c := range e.t.Kids(v) {
 				if c == excl {
 					continue
 				}

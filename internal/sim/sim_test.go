@@ -123,7 +123,7 @@ func TestSimFoldEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v fold-off: %v", g, err)
 		}
-		on, err := Run(topo, Options{Fold: FoldOn, Shards: 2})
+		on, err := Run(topo, Options{Fold: FoldAuto, Shards: 2})
 		if err != nil {
 			t.Fatalf("%v fold-on: %v", g, err)
 		}
@@ -136,7 +136,7 @@ func TestSimFoldEquivalence(t *testing.T) {
 	}
 	// A star is one multicasting hub over leaves: nearly everything folds.
 	l := labeledFor(t, graph.Star(50))
-	on, err := Run(implicit.New(l).Topo(), Options{Fold: FoldOn})
+	on, err := Run(implicit.New(l).Topo(), Options{Fold: FoldAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestSimFailFastDiagnostics(t *testing.T) {
 			N: 3, Height: 1,
 			Hi: []int32{2, 1, 2}, Level: []int32{0, 1, 1},
 			Parent: []int32{-1, 0, 0}, ChildStart: []int32{0, 0, 0, 0},
-			Children: nil, Lip: []uint64{1 << 1}, VertexOf: vo, LabelOf: lo,
+			Children: nil, LipBits: []uint64{1 << 1}, VertexOf: vo, LabelOf: lo,
 		}
 		_, err := Run(topo, Options{})
 		if err == nil || !strings.Contains(err.Error(), "livelock") {
@@ -388,7 +388,7 @@ func TestSimFailFastDiagnostics(t *testing.T) {
 			N: 3, Height: 1,
 			Hi: []int32{2, 1, 2}, Level: []int32{0, 1, 1},
 			Parent: []int32{-1, 0, 0}, ChildStart: []int32{0, 2, 2, 2},
-			Children: []int32{1, 2}, Lip: []uint64{1<<1 | 1<<2}, VertexOf: vo, LabelOf: lo,
+			Children: []int32{1, 2}, LipBits: []uint64{1<<1 | 1<<2}, VertexOf: vo, LabelOf: lo,
 		}
 		_, err := Run(topo, Options{})
 		if err == nil || !strings.Contains(err.Error(), "two messages") {
@@ -404,7 +404,7 @@ func TestSimFailFastDiagnostics(t *testing.T) {
 			N: 2, Height: 1,
 			Hi: []int32{1, 1}, Level: []int32{0, 9},
 			Parent: []int32{-1, 0}, ChildStart: []int32{0, 1, 1},
-			Children: []int32{1}, Lip: []uint64{0}, VertexOf: vo, LabelOf: lo,
+			Children: []int32{1}, LipBits: []uint64{0}, VertexOf: vo, LabelOf: lo,
 		}
 		_, err := Run(topo, Options{})
 		if err == nil || !strings.Contains(err.Error(), "l-message") {
@@ -423,12 +423,6 @@ func TestSimFailFastDiagnostics(t *testing.T) {
 func TestSimOptionValidation(t *testing.T) {
 	l := labeledFor(t, graph.Path(4))
 	topo := implicit.New(l).Topo()
-	if _, err := Run(topo, Options{Fold: FoldOn, Observer: obs.Nop{}}); err == nil {
-		t.Fatal("FoldOn with an Observer must be rejected")
-	}
-	if _, err := Run(topo, Options{Fold: FoldOn, Async: true}); err == nil {
-		t.Fatal("FoldOn with Async must be rejected")
-	}
 	if _, err := Run(topo, Options{Async: true, CheckDupes: true, Latency: badLatency{}}); err == nil {
 		t.Fatal("out-of-range latency model must be rejected")
 	}
@@ -525,7 +519,7 @@ func TestSimAsyncFailFastDiagnostics(t *testing.T) {
 			N: 2, Height: 0,
 			Hi: []int32{0, 1}, Level: []int32{0, 0},
 			Parent: []int32{-1, -1}, ChildStart: []int32{0, 0, 0},
-			Children: nil, Lip: []uint64{0}, VertexOf: vo, LabelOf: lo,
+			Children: nil, LipBits: []uint64{0}, VertexOf: vo, LabelOf: lo,
 		}
 		_, err := Run(topo, Options{Async: true})
 		if err == nil || !strings.Contains(err.Error(), "livelock") {

@@ -36,7 +36,6 @@ func RunSimple(t implicit.Topo, sink RoundSink) (Result, error) {
 		recvRound[v], upLast[v], downLast[v] = -1, v, -1
 	}
 	rootHeld := schedule.NewBitset(t.N)
-	kids := func(v int32) []int32 { return t.Children[t.ChildStart[v]:t.ChildStart[v+1]] }
 	orig := func(v int32) int32 { return t.VertexOf[v] }
 	type arrival struct {
 		dest, msg  int32
@@ -111,13 +110,13 @@ func RunSimple(t implicit.Topo, sink RoundSink) (Result, error) {
 				}
 				emit(v, m, t.Parent[v:v+1], false)
 			case down:
-				emit(v, recvMsg[v], kids(v), true)
+				emit(v, recvMsg[v], t.Kids(v), true)
 			case v == 0 && tt >= n-2 && tt <= last:
 				m := tt - (n - 2)
 				if m != 0 && !rootHeld.Has(int(m)) {
 					return res, fmt.Errorf("sim: the root multicasts message %d at time %d before holding it", orig(m), tt)
 				}
-				emit(v, m, kids(v), true)
+				emit(v, m, t.Kids(v), true)
 			}
 		}
 		if sink != nil {

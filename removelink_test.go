@@ -2,6 +2,7 @@ package multigossip
 
 import (
 	"errors"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -159,4 +160,111 @@ func TestConcurrentChurnAndAccessors(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestNetworkMethodsSnapshotUnderChurn is the -race regression test for
+// the Network methods that read the graph without the mutation lock. One
+// goroutine flaps a chord of a six-ring (never a bridge) while another
+// calls each method; every plan must verify against the topology it was
+// planned on.
+func TestNetworkMethodsSnapshotUnderChurn(t *testing.T) {
+	nw := Ring(6)
+	nw.AddLink(0, 3)
+	plan, err := Ring(6).PlanGossip()
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := plan.ScheduleJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := []func() error{
+		func() error { _, err := nw.GossipStreamSummary(true); return err },
+		func() error { _, err := nw.GossipStreamSummary(false); return err },
+		func() error {
+			p, err := nw.PlanKPortGossip(2)
+			if err != nil {
+				return err
+			}
+			return p.Verify()
+		},
+		func() error {
+			p, err := nw.PlanGather(0)
+			if err != nil {
+				return err
+			}
+			return p.Verify()
+		},
+		func() error {
+			p, err := nw.PlanScatter(0)
+			if err != nil {
+				return err
+			}
+			return p.Verify()
+		},
+		func() error {
+			p, err := nw.PlanMulticasts([]Multicast{{Origin: 0, Dests: []int{2, 3, 4}}, {Origin: 5, Dests: []int{1}}})
+			if err != nil {
+				return err
+			}
+			return p.Verify()
+		},
+		func() error { _, err := nw.OptimalRounds(MulticastModel, 6); return err },
+		func() error { _, err := nw.GreedyRounds(MulticastModel, 1, 2); return err },
+		func() error { nw.HamiltonianCircuit(); return nil },
+		func() error {
+			p, err := nw.PlanRingRotation([]int{0, 1, 2, 3, 4, 5})
+			if err != nil {
+				return err
+			}
+			return p.Verify()
+		},
+		func() error { return nw.WriteEdgeList(io.Discard) },
+		func() error { _, err := VerifyScheduleJSON(nw, []byte(js)); return err },
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := nw.RemoveLink(0, 3); err != nil {
+				t.Error(err)
+				return
+			}
+			nw.AddLink(0, 3)
+		}
+	}()
+	for round := 0; round < 3; round++ {
+		for i, call := range calls {
+			if err := call(); err != nil {
+				t.Errorf("call %d: %v", i, err)
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
+}
+
+// TestGatherPlanKeepsItsTopology routes a gather over a chord, removes the
+// chord and verifies the plan: it checks the topology it was planned on,
+// not the network's current one.
+func TestGatherPlanKeepsItsTopology(t *testing.T) {
+	nw := Ring(8)
+	nw.AddLink(0, 4)
+	p, err := nw.PlanGather(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.RemoveLink(0, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Verify(); err != nil {
+		t.Fatalf("gather planned over chord {0, 4} fails after its removal: %v", err)
+	}
 }

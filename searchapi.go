@@ -34,7 +34,7 @@ func (m Model) internal() search.Model {
 // exceeds the cap. This is how the repository certifies the paper's Fig. 1
 // and Fig. 3 optimality claims.
 func (nw *Network) OptimalRounds(model Model, maxRounds int) (int, error) {
-	opt, _, err := search.Exact(nw.g, model.internal(), maxRounds, 0)
+	opt, _, err := search.Exact(nw.snapshotGraph(), model.internal(), maxRounds, 0)
 	return opt, err
 }
 
@@ -43,11 +43,12 @@ func (nw *Network) OptimalRounds(model Model, maxRounds int) (int, error) {
 // found — an upper bound on the optimum that matches it on small dense
 // networks such as the Petersen graph.
 func (nw *Network) GreedyRounds(model Model, seed int64, restarts int) (int, error) {
-	s, err := search.Greedy(nw.g, model.internal(), rand.New(rand.NewSource(seed)), restarts)
+	g := nw.snapshotGraph()
+	s, err := search.Greedy(g, model.internal(), rand.New(rand.NewSource(seed)), restarts)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := schedule.CheckGossip(nw.g, s); err != nil {
+	if _, err := schedule.CheckGossip(g, s); err != nil {
 		return 0, fmt.Errorf("multigossip: greedy produced an invalid schedule: %w", err)
 	}
 	return s.Time(), nil
@@ -57,18 +58,19 @@ func (nw *Network) GreedyRounds(model Model, seed int64, restarts int) (int, err
 // backtracking) and returns it in visiting order, or ok=false when none
 // was found within the budget.
 func (nw *Network) HamiltonianCircuit() (circuit []int, ok bool) {
-	return graph.HamiltonianCircuit(nw.g, 0)
+	return graph.HamiltonianCircuit(nw.snapshotGraph(), 0)
 }
 
 // PlanRingRotation builds the Fig. 1 rotation schedule along a Hamiltonian
 // circuit of the network: n - 1 rounds, which meets the trivial lower
 // bound. The circuit must visit every processor once using network links.
 func (nw *Network) PlanRingRotation(circuit []int) (*RotationPlan, error) {
-	s, err := baseline.RingRotation(nw.g, circuit)
+	g := nw.snapshotGraph()
+	s, err := baseline.RingRotation(g, circuit)
 	if err != nil {
 		return nil, err
 	}
-	return &RotationPlan{network: nw.g, sched: s}, nil
+	return &RotationPlan{network: g, sched: s}, nil
 }
 
 // RotationPlan is an optimal ring-rotation gossip schedule.

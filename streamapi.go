@@ -1,6 +1,7 @@
 package multigossip
 
 import (
+	"multigossip/internal/graph"
 	"multigossip/internal/implicit"
 	"multigossip/internal/spantree"
 )
@@ -39,10 +40,11 @@ func (nw *Network) GossipStreamSummary(approxTree bool) (StreamSummary, error) {
 		tr  *spantree.Tree
 		err error
 	)
+	g, sweep := nw.snapshotWithSweep()
 	if approxTree {
-		tr, err = spantree.ApproxMinDepth(nw.g)
+		tr, err = spantree.ApproxMinDepth(g)
 	} else {
-		tr, err = spantree.MinDepth(nw.g)
+		tr, err = spantree.MinDepth(g)
 	}
 	if err != nil {
 		return StreamSummary{}, err
@@ -52,40 +54,36 @@ func (nw *Network) GossipStreamSummary(approxTree bool) (StreamSummary, error) {
 		return StreamSummary{}, err
 	}
 	out := StreamSummary{
-		Processors:    nw.g.N(),
+		Processors:    g.N(),
 		TreeHeight:    tr.Height,
 		Rounds:        sum.Rounds,
 		Transmissions: sum.Transmissions,
 		Deliveries:    sum.Deliveries,
 		MaxFanout:     sum.MaxFanout,
-		ExactTree:     !approxTree || nw.provenRadius(tr.Height),
+		ExactTree:     !approxTree || provenRadius(g, sweep, tr.Height),
 	}
 	return out, nil
 }
 
-// provenRadius reports whether height is provably the network radius
-// without paying for a full metric sweep: it compares against the cached
-// sweep when one exists, and otherwise checks height against the O(m)
-// double-sweep radius lower bound (a BFS-tree height is always >= the
-// radius, so meeting a lower bound proves equality). The network must be
-// connected.
-func (nw *Network) provenRadius(height int) bool {
-	nw.mu.Lock()
-	cached := nw.metrics
-	nw.mu.Unlock()
-	if cached != nil {
-		return height == cached.Radius
+// provenRadius reports whether height is provably the radius of g without
+// paying for a full metric sweep: it compares against g's metric sweep when
+// one is cached, and otherwise checks height against the O(m) double-sweep
+// radius lower bound (a BFS-tree height is always >= the radius, so
+// meeting a lower bound proves equality). g must be connected.
+func provenRadius(g *graph.Graph, sweep *graph.SweepResult, height int) bool {
+	if sweep != nil {
+		return height == sweep.Radius
 	}
 	// Double sweep: the farthest vertex u from 0, then the farthest w from
 	// u. d(u, w) lower-bounds the diameter, and radius >= ceil(diameter/2).
-	dist0 := nw.g.BFS(0)
+	dist0 := g.BFS(0)
 	u := 0
 	for v, d := range dist0 {
 		if d > dist0[u] {
 			u = v
 		}
 	}
-	distU := nw.g.BFS(u)
+	distU := g.BFS(u)
 	dw := 0
 	for _, d := range distU {
 		if d > dw {

@@ -27,7 +27,7 @@ func LoadNetwork(r io.Reader) (*Network, error) {
 }
 
 // WriteEdgeList serialises the network in the edge-list text format.
-func (nw *Network) WriteEdgeList(w io.Writer) error { return nw.g.Write(w) }
+func (nw *Network) WriteEdgeList(w io.Writer) error { return nw.snapshotGraph().Write(w) }
 
 // VerifyScheduleJSON decodes a schedule from the library's JSON shape and
 // validates it on the network as a gossip schedule: model rules (one send,
@@ -40,7 +40,7 @@ func VerifyScheduleJSON(nw *Network, data []byte) (string, error) {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return "", fmt.Errorf("multigossip: decoding schedule: %w", err)
 	}
-	res, err := schedule.CheckGossip(nw.g, &s)
+	res, err := schedule.CheckGossip(nw.snapshotGraph(), &s)
 	if err != nil {
 		return "", err
 	}
